@@ -17,7 +17,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from .errors import NonLaurentResult, SurfPolyError
 from .homology import tilde_p, verify_subgroup_duality
-from .invariants import scanner_for
+from .invariants import scan
 from .links import (
     jones,
     kauffman,
@@ -101,7 +101,7 @@ def cmd_poly(args) -> int:
 
 def cmd_tutte(args) -> int:
     graph = _load_graph(args.file)
-    s = tutte(*abstract_graph(graph)).to_canonical_string()
+    s = tutte(*abstract_graph(graph), cap=args.cap).to_canonical_string()
     _emit(args, {"tutte": s}, [s])
     return 0
 
@@ -150,12 +150,11 @@ def cmd_tildep(args) -> int:
 
 def cmd_invariants(args) -> int:
     graph = _load_graph(args.file)
-    sc = scanner_for(graph)
+    subgraphs = scan(graph, args.cap)
     edges = graph.sorted_edges
     lines = ["# bitmask c n bc s s_perp k l  (bit i = edge " + " ".join(map(str, edges)) + ")"]
     rows = []
-    for mask in range(1 << len(edges)):
-        inv = sc.invariants_of_mask(mask)
+    for mask, inv in subgraphs:
         lines.append(
             f"{mask} {inv.c} {inv.n} {inv.bc} {inv.s} {inv.s_perp} {inv.k} {inv.l}"
         )

@@ -22,13 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    InternalInvariantError,
-    RadicalNotBoundaries,
-    TooManyEdges,
-)
-from .invariants import invariants, dual_subgraph, scanner_for
+from .errors import DimensionMismatch, InternalInvariantError, RadicalNotBoundaries
+from .invariants import SubgraphScanner, scan
 from .laurent import LaurentPolynomial
 from .maps import CombinatorialMap, EmbeddedSubgraph, UnionFind
 from .report import PolynomialReport, Verdict
@@ -389,16 +384,13 @@ def tilde_p(
     Specializing each [V] to A^{s/2} B^{s_perp/2} recovers the four-variable
     surface polynomial.
     """
+    subgraphs = scan(graph, cap)
     edges = graph.sorted_edges
-    if len(edges) > cap:
-        raise TooManyEdges(f"{len(edges)} edges exceeds cap {cap}")
     hom = SurfaceHomology(graph.host)
-    sc = scanner_for(graph)
     c_g = graph.components_count()
     grouped: dict[Subspace, dict[tuple[int, ...], int]] = {}
-    for mask in range(1 << len(edges)):
+    for mask, inv in subgraphs:
         h = [edges[i] for i in range(len(edges)) if mask >> i & 1]
-        inv = sc.invariants_of_mask(mask)
         v, k = image_subspace(graph, h, hom)
         if k != inv.k:
             raise InternalInvariantError(
@@ -490,22 +482,25 @@ def verify_subgroup_duality(m: CombinatorialMap, cap: int = 20) -> PolynomialRep
     """Check V(H*) = V(H)^perp (as canonical RREF matrices in the radial
     map's H1 coordinates) and the component/kernel exponent swaps, for every
     spanning subgraph of the cellulation m."""
-    edges = tuple(m.edge_ids)
-    if len(edges) > cap:
-        raise TooManyEdges(f"{len(edges)} edges exceeds cap {cap}")
+    g_full = EmbeddedSubgraph.full(m)
+    subgraphs = scan(g_full, cap)
     dual_m = m.dual()
     radial, primal_chain, dual_chain = radial_map(m)
     hom = SurfaceHomology(radial)
-    g_full = EmbeddedSubgraph.full(m)
     g_dual = EmbeddedSubgraph.full(dual_m)
+    # dual edges keep their ids, so H* = the duals of the edges not in H
+    # is the mask complement in the dual scanner
+    dual_sc = SubgraphScanner(g_dual)
+    edges = g_full.sorted_edges
+    full = (1 << len(edges)) - 1
     c_g = g_full.components_count()
     c_gs = g_dual.components_count()
     verdicts = []
     ok = True
     witness = None
-    for mask in range(1 << len(edges)):
+    for mask, inv_h in subgraphs:
         h = [edges[i] for i in range(len(edges)) if mask >> i & 1]
-        hs = sorted(dual_subgraph(m, h))
+        hs = [edges[i] for i in range(len(edges)) if not mask >> i & 1]
         v_h = Subspace.from_vectors(
             [hom.project_chain(push_chain(c, primal_chain)) for c in fundamental_cycles(g_full, h)],
             hom.dim,
@@ -514,8 +509,7 @@ def verify_subgroup_duality(m: CombinatorialMap, cap: int = 20) -> PolynomialRep
             [hom.project_chain(push_chain(c, dual_chain)) for c in fundamental_cycles(g_dual, hs)],
             hom.dim,
         )
-        inv_h = invariants(g_full, h)
-        inv_hs = invariants(g_dual, hs)
+        inv_hs = dual_sc.invariants_of_mask(full ^ mask)
         if (
             v_hs != orthogonal_complement(v_h, hom.form)
             or v_h.dim + v_hs.dim != hom.dim

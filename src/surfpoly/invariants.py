@@ -16,16 +16,26 @@ computes the tuple (c, v, e, n, bc, s, s_perp, k, l):
 k and l are derived from the exact identities s + s_perp + 2l = 2g and
 k + l + s = n; the independent linear-algebra computation lives in
 :mod:`surfpoly.homology` and serves as the oracle.
+
+Every state sum over the 2^e spanning subgraphs goes through the engine at
+the end of this module: :func:`scan` yields each subgraph with its
+invariants, and :func:`histogram` counts the invariant tuples, from which
+P, BR and P' are read off as projections.  The engine owns the size cap and
+the optional process-pool split.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
-from weakref import WeakKeyDictionary
+from typing import Iterable, Iterator
 
-from .errors import InternalInvariantError, NotCellulation, NotSpanning
+from .errors import InternalInvariantError, NotCellulation, NotSpanning, TooManyEdges
 from .maps import CombinatorialMap, EmbeddedSubgraph
+
+DEFAULT_CAP = 20
+_PARALLEL_THRESHOLD = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -199,21 +209,58 @@ class SubgraphScanner:
         return mask
 
 
-_scanners: "WeakKeyDictionary[EmbeddedSubgraph, SubgraphScanner]" = WeakKeyDictionary()
+# -- the subgraph-enumeration engine --------------------------------------------
+
+def check_cap(n_edges: int, cap: int | None) -> None:
+    """Refuse a 2^n_edges state sum above ``cap`` (None means no cap)."""
+    if cap is not None and n_edges > cap:
+        raise TooManyEdges(f"{n_edges} edges exceeds cap {cap}")
 
 
-def scanner_for(graph: EmbeddedSubgraph) -> SubgraphScanner:
-    try:
-        return _scanners[graph]
-    except KeyError:
-        sc = SubgraphScanner(graph)
-        _scanners[graph] = sc
-        return sc
+def scan(
+    graph: EmbeddedSubgraph, cap: int | None = DEFAULT_CAP
+) -> Iterator[tuple[int, SubgraphInvariants]]:
+    """(mask, invariants) for every spanning subgraph of ``graph``, where bit
+    i of the mask is ``graph.sorted_edges[i]``.  The cap is checked at the
+    call, before the first subgraph is asked for."""
+    n = len(graph.sorted_edges)
+    check_cap(n, cap)
+    sc = SubgraphScanner(graph)
+    return ((mask, sc.invariants_of_mask(mask)) for mask in range(1 << n))
+
+
+def _count(graph: EmbeddedSubgraph, start: int, stop: int) -> Counter:
+    sc = SubgraphScanner(graph)
+    return Counter(map(sc.invariants_of_mask, range(start, stop)))
+
+
+def histogram(
+    graph: EmbeddedSubgraph, cap: int | None = DEFAULT_CAP, threads: int = 1
+) -> Counter:
+    """How many spanning subgraphs of ``graph`` have each invariant tuple.
+
+    With ``threads`` > 1 on large inputs the masks are split into chunks
+    over a process pool; the counts, and so every projection, are the same
+    as the sequential ones.
+    """
+    n = len(graph.sorted_edges)
+    check_cap(n, cap)
+    total = 1 << n
+    if threads < 2 or total < _PARALLEL_THRESHOLD:
+        return _count(graph, 0, total)
+    chunk = -(-total // (4 * threads))
+    starts = range(0, total, chunk)
+    stops = [min(start + chunk, total) for start in starts]
+    hist: Counter = Counter()
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        for part in pool.map(_count, [graph] * len(starts), starts, stops):
+            hist.update(part)
+    return hist
 
 
 def invariants(graph: EmbeddedSubgraph, h_edges: Iterable[int]) -> SubgraphInvariants:
     """Invariant tuple of the spanning subgraph of ``graph`` on ``h_edges``."""
-    sc = scanner_for(graph)
+    sc = SubgraphScanner(graph)
     return sc.invariants_of_mask(sc.mask_of(h_edges))
 
 
@@ -231,3 +278,4 @@ def dual_subgraph(
     if not h <= universe:
         raise NotSpanning(f"unknown edges {sorted(h - universe)}")
     return universe - h
+

@@ -33,7 +33,7 @@ from .errors import (
     TooManyCrossings,
 )
 from .homology import Chain, Subspace, SurfaceHomology, radial_map
-from .invariants import scanner_for
+from .invariants import scan
 from .laurent import LaurentPolynomial
 from .maps import (
     CombinatorialMap,
@@ -184,7 +184,8 @@ class LinkDiagram:
 @dataclass(frozen=True)
 class ResolutionState:
     """One smoothing choice per crossing (True = type (1) = A) plus the
-    traced curves and their homology data; k + r = c always."""
+    traced curves and their homology data: ``subspace`` is the span of the
+    curve classes in H1 of the surface, r its dimension; k + r = c always."""
 
     choices: tuple[bool, ...]
     curves: tuple[tuple[int, ...], ...]
@@ -193,6 +194,7 @@ class ResolutionState:
     c: int
     r: int
     k: int
+    subspace: Subspace
 
 
 def _curve_chain(m: CombinatorialMap, darts: Iterable[int]) -> Chain:
@@ -203,21 +205,17 @@ def _curve_chain(m: CombinatorialMap, darts: Iterable[int]) -> Chain:
     return {e: c for e, c in chain.items() if c}
 
 
-def states(
-    diagram: LinkDiagram,
-    cap: int = 20,
-    hom: SurfaceHomology | None = None,
-) -> Iterator[ResolutionState]:
+def states(diagram: LinkDiagram, cap: int = 20) -> Iterator[ResolutionState]:
     """All 2^n resolutions with curve counts and homology ranks."""
     n = diagram.n_crossings
     if cap is not None and n > cap:
         raise TooManyCrossings(f"{n} crossings exceeds cap {cap}")
     base = diagram.base
     surf = diagram.surface_map
-    hom = hom or SurfaceHomology(surf)
+    hom = SurfaceHomology(surf)
     crossings = diagram.crossings
     free_classes = [
-        hom.project_chain(_walk_chain(surf, walk)) for walk in diagram.free_loops
+        hom.project_chain(_curve_chain(surf, walk)) for walk in diagram.free_loops
     ]
     for mask in range(1 << n):
         choices = tuple(bool(mask >> i & 1) for i in range(n))
@@ -252,20 +250,17 @@ def states(
             curves.append(tuple(cycle))
             vectors.append(hom.project_chain(_curve_chain(base, cycle)))
         c = len(curves) + len(diagram.free_loops)
-        r = Subspace.from_vectors(vectors, hom.dim).dim
+        subspace = Subspace.from_vectors(vectors, hom.dim)
         yield ResolutionState(
             choices=choices,
             curves=tuple(curves),
             alpha_count=a_count,
             beta_count=n - a_count,
             c=c,
-            r=r,
-            k=c - r,
+            r=subspace.dim,
+            k=c - subspace.dim,
+            subspace=subspace,
         )
-
-
-def _walk_chain(m: CombinatorialMap, walk: tuple[int, ...]) -> Chain:
-    return _curve_chain(m, walk)
 
 
 def kauffman(diagram: LinkDiagram, cap: int = 20) -> LaurentPolynomial:
@@ -300,22 +295,10 @@ def tilde_kauffman(
     prefactor to every coefficient polynomial (exposed for inspection;
     isotopy invariance of the result is untested).
     """
-    n = diagram.n_crossings
-    if cap is not None and n > cap:
-        raise TooManyCrossings(f"{n} crossings exceeds cap {cap}")
-    surf = diagram.surface_map
-    hom = SurfaceHomology(surf)
     grouped: dict[Subspace, dict[tuple[int, int, int], int]] = {}
-    base = diagram.base
-    free_classes = [
-        hom.project_chain(_walk_chain(surf, walk)) for walk in diagram.free_loops
-    ]
-    for st in states(diagram, cap=cap, hom=hom):
-        vectors = list(free_classes)
-        vectors.extend(hom.project_chain(_curve_chain(base, c)) for c in st.curves)
-        v = Subspace.from_vectors(vectors, hom.dim)
+    for st in states(diagram, cap=cap):
         key = (st.alpha_count, st.beta_count, st.k)
-        bucket = grouped.setdefault(v, {})
+        bucket = grouped.setdefault(st.subspace, {})
         bucket[key] = bucket.get(key, 0) + 1
     out = []
     if writhe_prefactor:
@@ -522,19 +505,17 @@ def verify_thistlethwaite(diagram: LinkDiagram, cap: int = 20) -> PolynomialRepo
     ]
 
     # per-state correspondences against the matching Tait subgraph
-    edges = tait.graph.sorted_edges
-    eidx = {e_: i for i, e_ in enumerate(edges)}
+    subgraphs = scan(tait.graph, cap)
+    eidx = {e_: i for i, e_ in enumerate(tait.graph.sorted_edges)}
     crossings = diagram.crossings
-    sc = scanner_for(tait.graph)
     state_by_choice = {st.choices: st for st in states(diagram, cap=cap)}
     ok_states = True
     witness = None
-    for mask in range(1 << len(edges)):
+    for mask, inv in subgraphs:
         choices = tuple(
             bool(mask >> eidx[tait.crossing_edge[v_]] & 1) for v_ in crossings
         )
         st = state_by_choice[choices]
-        inv = sc.invariants_of_mask(mask)
         if not (
             st.alpha_count == inv.e
             and st.beta_count == e - inv.e

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import MapFormatError, TooManyEdges
+from .errors import MapFormatError
 from .laurent import LaurentPolynomial
-from .invariants import scanner_for
+from .invariants import scan
 from .maps import CombinatorialMap, EmbeddedSubgraph
 from .report import PolynomialReport, Verdict
 
@@ -104,8 +104,7 @@ def p_bar(
         graph = EmbeddedSubgraph.full(graph)
     weighting = weighting or EdgeWeighting(graph)
     edges = graph.sorted_edges
-    if cap is not None and len(edges) > cap:
-        raise TooManyEdges(f"{len(edges)} edges exceeds cap {cap}")
+    subgraphs = scan(graph, cap)
     names = ["q", "A", "B"]
     for _, exps in weighting.assigned.values():
         for v in exps:
@@ -120,10 +119,8 @@ def p_bar(
         for v, k in exps.items():
             vec[index[v]] = k
         edge_vecs.append((coeff, tuple(vec)))
-    sc = scanner_for(graph)
     terms: dict[tuple[int, ...], int] = {}
-    for mask in range(1 << len(edges)):
-        inv = sc.invariants_of_mask(mask)
+    for mask, inv in subgraphs:
         vec = [0] * nvar
         vec[0] = inv.c
         vec[1] = inv.s // 2

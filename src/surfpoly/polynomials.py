@@ -14,35 +14,53 @@ identity exactly and compare canonical forms.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, Sequence
+from collections import Counter
+from typing import Callable, Iterable, Sequence
 
-from .errors import TooManyEdges
-from .invariants import SubgraphScanner, scanner_for
+from .invariants import DEFAULT_CAP, SubgraphInvariants, check_cap, histogram
 from .laurent import LaurentPolynomial
 from .maps import CombinatorialMap, EmbeddedSubgraph, UnionFind
 from .report import PolynomialReport, Verdict
 
-DEFAULT_CAP = 20
-_PARALLEL_THRESHOLD = 1 << 15
-
 _PVARS = ("X", "Y", "A", "B")
 
 
-def _mask_terms(sc: SubgraphScanner, c_g: int, start: int, stop: int) -> dict:
-    terms: dict[tuple[int, int, int, int], int] = {}
-    for mask in range(start, stop):
-        inv = sc.invariants_of_mask(mask)
-        key = (inv.c - c_g, inv.k, inv.s // 2, inv.s_perp // 2)
-        terms[key] = terms.get(key, 0) + 1
-    return terms
+# -- projections of the invariant histogram -------------------------------------
+
+def _exponents(
+    hist: Counter, key: Callable[[SubgraphInvariants, int], tuple[int, ...]]
+) -> Counter:
+    """Subgraph counts per exponent vector ``key(inv, c(G))``; c(G) is the
+    least component count, reached at H = G."""
+    c_g = min(inv.c for inv in hist)
+    out: Counter = Counter()
+    for inv, cnt in hist.items():
+        out[key(inv, c_g)] += cnt
+    return out
 
 
-def _mask_terms_job(args) -> dict:
-    graph, start, stop = args
-    sc = SubgraphScanner(graph)
-    c_g = graph.components_count()
-    return _mask_terms(sc, c_g, start, stop)
+def _p_of(hist: Counter) -> LaurentPolynomial:
+    return LaurentPolynomial(
+        _PVARS, _exponents(hist, lambda i, c_g: (i.c - c_g, i.k, i.s // 2, i.s_perp // 2))
+    )
+
+
+def _br_of(hist: Counter) -> LaurentPolynomial:
+    counts = _exponents(hist, lambda i, c_g: (i.c - c_g, i.n, i.c - i.bc + i.n))
+    x_minus_1 = LaurentPolynomial.variable("X") - 1
+    powers: dict[int, LaurentPolynomial] = {}
+    total = LaurentPolynomial.zero()
+    for (j, nn, zz), cnt in sorted(counts.items()):
+        if j not in powers:
+            powers[j] = x_minus_1 ** j
+        total = total + powers[j] * LaurentPolynomial.monomial(cnt, {"Y": nn, "Z": zz})
+    return total
+
+
+def _p_prime_of(hist: Counter) -> LaurentPolynomial:
+    return LaurentPolynomial(
+        _PVARS, _exponents(hist, lambda i, c_g: (i.c - c_g, i.n, i.s, i.s_perp))
+    )
 
 
 def p_bruteforce(
@@ -53,31 +71,7 @@ def p_bruteforce(
     """Direct state sum over all 2^e spanning subgraphs."""
     if isinstance(graph, CombinatorialMap):
         graph = EmbeddedSubgraph.full(graph)
-    n = len(graph.sorted_edges)
-    if cap is not None and n > cap:
-        raise TooManyEdges(
-            f"{n} edges exceeds brute-force cap {cap}; use the recursive evaluator"
-        )
-    total = 1 << n
-    if threads > 1 and total >= _PARALLEL_THRESHOLD:
-        chunk = -(-total // (4 * threads))
-        jobs = [
-            (graph, start, min(start + chunk, total))
-            for start in range(0, total, chunk)
-        ]
-        terms: dict[tuple[int, int, int, int], int] = {}
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_mask_terms_job, jobs):
-                for key, cnt in part.items():
-                    terms[key] = terms.get(key, 0) + cnt
-    else:
-        sc = scanner_for(graph)
-        terms = _mask_terms(sc, graph.components_count(), 0, total)
-    return LaurentPolynomial(_PVARS, terms)
-
-
-def _loops_state_sum(graph: EmbeddedSubgraph) -> LaurentPolynomial:
-    return p_bruteforce(graph, cap=None)
+    return _p_of(histogram(graph, cap, threads))
 
 
 def p_recursive(graph: EmbeddedSubgraph | CombinatorialMap) -> LaurentPolynomial:
@@ -119,18 +113,24 @@ def _p_rec(
                 residue = residue.contract_edge(e)
             value = (one_plus_x ** len(bridges)) * _p_rec(residue, memo, one_plus_x)
         else:
-            value = _loops_state_sum(graph)
+            value = p_bruteforce(graph, cap=None)
     memo[code] = value
     return value
 
 
 # -- classical polynomials ----------------------------------------------------
 
-def tutte(vertices: Iterable, edges: Sequence[tuple]) -> LaurentPolynomial:
+def tutte(
+    vertices: Iterable, edges: Sequence[tuple], cap: int = DEFAULT_CAP
+) -> LaurentPolynomial:
     """Whitney-rank normalization of the Tutte polynomial of an abstract
-    multigraph: sum over spanning H of X^(c(H)-c(G)) Y^(n(H))."""
+    multigraph: sum over spanning H of X^(c(H)-c(G)) Y^(n(H)).
+
+    Its own union-find sum, independent of the subgraph scanner, so that
+    the Tutte identity checks the scanner."""
     verts = list(vertices)
     edges = list(edges)
+    check_cap(len(edges), cap)
     uf = UnionFind(verts)
     for u, w in edges:
         uf.union(u, w)
@@ -163,42 +163,13 @@ def abstract_graph(graph: EmbeddedSubgraph | CombinatorialMap) -> tuple[list, li
 def bollobas_riordan(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> LaurentPolynomial:
     """BR(X,Y,Z) = sum_H (X-1)^(r(G)-r(H)) Y^n(H) Z^(c(H)-bc(H)+n(H)) over
     spanning subgraphs of the ribbon graph; the Z exponent equals s(H)."""
-    graph = EmbeddedSubgraph.full(m)
-    n = len(graph.sorted_edges)
-    if cap is not None and n > cap:
-        raise TooManyEdges(f"{n} edges exceeds cap {cap}")
-    sc = scanner_for(graph)
-    c_g = graph.components_count()
-    counts: dict[tuple[int, int, int], int] = {}
-    for mask in range(1 << n):
-        inv = sc.invariants_of_mask(mask)
-        key = (inv.c - c_g, inv.n, inv.c - inv.bc + inv.n)
-        counts[key] = counts.get(key, 0) + 1
-    x_minus_1 = LaurentPolynomial.variable("X") - 1
-    powers: dict[int, LaurentPolynomial] = {}
-    total = LaurentPolynomial.zero()
-    for (j, nn, zz), cnt in sorted(counts.items()):
-        if j not in powers:
-            powers[j] = x_minus_1 ** j
-        total = total + powers[j] * LaurentPolynomial.monomial(cnt, {"Y": nn, "Z": zz})
-    return total
+    return _br_of(histogram(EmbeddedSubgraph.full(m), cap))
 
 
 def p_prime(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> LaurentPolynomial:
     """Combinatorial variant for ribbon graphs with undoubled exponents:
     sum_H X^(c(H)-c(G)) Y^n(H) A^s(H) B^(s_perp(H))."""
-    graph = EmbeddedSubgraph.full(m)
-    n = len(graph.sorted_edges)
-    if cap is not None and n > cap:
-        raise TooManyEdges(f"{n} edges exceeds cap {cap}")
-    sc = scanner_for(graph)
-    c_g = graph.components_count()
-    terms: dict[tuple[int, int, int, int], int] = {}
-    for mask in range(1 << n):
-        inv = sc.invariants_of_mask(mask)
-        key = (inv.c - c_g, inv.n, inv.s, inv.s_perp)
-        terms[key] = terms.get(key, 0) + 1
-    return LaurentPolynomial(_PVARS, terms)
+    return _p_prime_of(histogram(EmbeddedSubgraph.full(m), cap))
 
 
 # -- verifiers ------------------------------------------------------------------
@@ -250,7 +221,9 @@ def verify_specializations(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> Polyn
     through the main duality), the undoubled-variant relation, and component
     multiplicativity."""
     g = m.total_genus
-    p = p_bruteforce(m, cap=cap)
+    # P, BR and P' are read from one sweep over the subgraphs of m
+    hist = histogram(EmbeddedSubgraph.full(m), cap)
+    p = _p_of(hist)
     y = LaurentPolynomial.variable("Y")
     verdicts = []
 
@@ -258,12 +231,12 @@ def verify_specializations(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> Polyn
         verdicts.append(Verdict(name, ok, None if ok else _witness(m)))
 
     # T_G = Y^g P(X, Y, Y, Y^-1)
-    t = tutte(*abstract_graph(m))
+    t = tutte(*abstract_graph(m), cap=cap)
     spec = (y ** g) * p.substitute({"A": y, "B": y ** -1})
     check("tutte T_G = Y^g P(X,Y,Y,Y^-1)", t == spec)
 
     # BR_G = Y^g P(X-1, Y, Y Z^2, Y^-1)
-    br = bollobas_riordan(m, cap=cap)
+    br = _br_of(hist)
     x = LaurentPolynomial.variable("X")
     z = LaurentPolynomial.variable("Z")
     spec = (y ** g) * p.substitute({"X": x - 1, "A": y * z * z, "B": y ** -1})
@@ -306,7 +279,7 @@ def verify_specializations(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> Polyn
 
     # corrected undoubled-variant relation (integral version of the paper's
     # half-integer substitution)
-    pp = p_prime(m, cap=cap)
+    pp = _p_prime_of(hist)
     a = LaurentPolynomial.variable("A")
     b = LaurentPolynomial.variable("B")
     check(

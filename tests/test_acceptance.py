@@ -20,7 +20,7 @@ from surfpoly.homology import (
     symplectic_invariants,
     verify_subgroup_duality,
 )
-from surfpoly.invariants import scanner_for
+from surfpoly.invariants import SubgraphScanner
 from surfpoly.laurent import LaurentPolynomial as L
 from surfpoly.links import (
     classical_bracket,
@@ -161,7 +161,7 @@ def test_criterion_5_homology_cross_oracle(corpus_a):
     for m in maps:
         g = EmbeddedSubgraph.full(m)
         hom = SurfaceHomology(m)
-        sc = scanner_for(g)
+        sc = SubgraphScanner(g)
         two_g = 2 * m.total_genus
         for mask in range(1 << m.n_edges):
             inv = sc.invariants_of_mask(mask)

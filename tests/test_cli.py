@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from surfpoly.cli import main
 
 
@@ -139,6 +141,33 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 2 and "error:" in err
     code, _, err = run_cli(capsys, "poly", str(tmp_path / "missing.map"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly"],
+        ["tutte"],
+        ["br"],
+        ["pprime"],
+        ["pbar"],
+        ["tildep"],
+        ["invariants"],
+        ["verify", "duality"],
+        ["verify", "special"],
+        ["verify", "mduality"],
+        ["verify", "subgroup-duality"],
+    ],
+    ids=" ".join,
+)
+def test_cap_refuses_large_maps(capsys, tmp_path, argv):
+    from surfpoly.corpus import random_maps
+    from surfpoly.maps import serialize_map
+
+    big = tmp_path / "big.map"
+    big.write_text(serialize_map(random_maps(1, 24, seed=3, min_edges=24)[0]))
+    code, out, err = run_cli(capsys, *argv, str(big))
+    assert code == 2 and "error:" in err and out == ""
 
 
 def test_determinism_across_runs(data_dir):

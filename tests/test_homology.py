@@ -17,7 +17,7 @@ from surfpoly.homology import (
     tilde_p_specialized,
     verify_subgroup_duality,
 )
-from surfpoly.invariants import scanner_for
+from surfpoly.invariants import SubgraphScanner
 from surfpoly.maps import EmbeddedSubgraph, random_map
 from surfpoly.polynomials import p_bruteforce
 
@@ -103,7 +103,7 @@ def test_cross_oracle_symplectic_vs_combinatorial():
         m = random_map(rng.randint(1, 6), rng)
         g = EmbeddedSubgraph.full(m)
         hom = SurfaceHomology(m)
-        sc = scanner_for(g)
+        sc = SubgraphScanner(g)
         for mask in range(1 << m.n_edges):
             h = [g.sorted_edges[i] for i in range(m.n_edges) if mask >> i & 1]
             inv = sc.invariants_of_mask(mask)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from surfpoly.errors import NotSpanning
-from surfpoly.invariants import dual_subgraph, invariants, scanner_for
+from surfpoly.invariants import SubgraphScanner, dual_subgraph, invariants
 from surfpoly.maps import EmbeddedSubgraph, random_map
 
 
@@ -36,7 +36,7 @@ def test_identities_on_random_corpus():
     for _ in range(40):
         m = random_map(rng.randint(1, 7), rng)
         g = EmbeddedSubgraph.full(m)
-        sc = scanner_for(g)
+        sc = SubgraphScanner(g)
         two_g = 2 * m.total_genus
         for mask in range(1 << len(g.sorted_edges)):
             inv = sc.invariants_of_mask(mask)

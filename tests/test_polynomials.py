@@ -1,4 +1,7 @@
+import gc
+import importlib
 import random
+import weakref
 
 import pytest
 
@@ -32,10 +35,34 @@ def test_p_tb2_by_hand(tb2):
 
 
 def test_cap_enforced():
+    from surfpoly.homology import tilde_p, verify_subgroup_duality
+    from surfpoly.multivariate import p_bar, verify_multivariate_duality
+
     rng = random.Random(0)
     m = random_map(6, rng)
-    with pytest.raises(TooManyEdges):
-        p_bruteforce(m, cap=5)
+    entry_points = [
+        p_bruteforce,
+        bollobas_riordan,
+        p_prime,
+        lambda m, cap: tutte(*abstract_graph(m), cap=cap),
+        p_bar,
+        lambda m, cap: tilde_p(EmbeddedSubgraph.full(m), cap=cap),
+        verify_multivariate_duality,
+        verify_subgroup_duality,
+    ]
+    for fn in entry_points:
+        with pytest.raises(TooManyEdges):
+            fn(m, cap=5)
+
+
+def test_bruteforce_releases_its_graph():
+    rng = random.Random(1)
+    g = EmbeddedSubgraph.full(random_map(5, rng))
+    p_bruteforce(g)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_p_recursive_base_cases(sb, sl, tb2):
@@ -100,13 +127,13 @@ def test_bollobas_riordan_examples(tb2, sl, sb):
 
 
 def test_br_z_exponent_is_s():
-    from surfpoly.invariants import scanner_for
+    from surfpoly.invariants import SubgraphScanner
 
     rng = random.Random(55)
     for _ in range(10):
         m = random_map(rng.randint(1, 6), rng)
         g = EmbeddedSubgraph.full(m)
-        sc = scanner_for(g)
+        sc = SubgraphScanner(g)
         for mask in range(1 << m.n_edges):
             inv = sc.invariants_of_mask(mask)
             assert inv.c - inv.bc + inv.n == inv.s
@@ -176,12 +203,14 @@ def test_threads_match_sequential(theta):
     par = p_bruteforce(big, threads=2)
     assert seq == par
 
-    import surfpoly.polynomials as pol
+    # the package attribute ``surfpoly.invariants`` is the function of that
+    # name, so the module is fetched by its full name
+    engine = importlib.import_module("surfpoly.invariants")
 
-    old = pol._PARALLEL_THRESHOLD
-    pol._PARALLEL_THRESHOLD = 1 << 6
+    old = engine._PARALLEL_THRESHOLD
+    engine._PARALLEL_THRESHOLD = 1 << 6
     try:
         par2 = p_bruteforce(big, threads=2)
     finally:
-        pol._PARALLEL_THRESHOLD = old
+        engine._PARALLEL_THRESHOLD = old
     assert par2 == seq
