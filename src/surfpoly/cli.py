@@ -19,7 +19,7 @@ from .errors import NonLaurentResult, SurfPolyError
 from .homology import tilde_p, verify_subgroup_duality
 from .invariants import scan
 from .links import (
-    jones,
+    _jones_of,
     kauffman,
     parse_diagram,
     serialize_diagram,
@@ -197,17 +197,16 @@ def cmd_bracket(args) -> int:
 
 def cmd_jones(args) -> int:
     d = parse_diagram(_read(args.file))
-    if args.raw:
-        poly = jones(d, cap=args.cap, normalized=False)
-    else:
-        try:
-            poly = jones(d, cap=args.cap, normalized=True)
-        except NonLaurentResult:
-            print(
-                "note: diagram has a state with k=0; printing the unnormalized polynomial",
-                file=sys.stderr,
-            )
-            poly = jones(d, cap=args.cap, normalized=False)
+    bracket, w = kauffman(d, cap=args.cap), d.writhe()
+    try:
+        # the unnormalized image never raises: d occurs with exponents k >= 0
+        poly = _jones_of(bracket, w, normalized=not args.raw)
+    except NonLaurentResult:
+        print(
+            "note: diagram has a state with k=0; printing the unnormalized polynomial",
+            file=sys.stderr,
+        )
+        poly = _jones_of(bracket, w, normalized=False)
     s = poly.to_canonical_string()
     _emit(args, {"jones": s}, [s])
     return 0

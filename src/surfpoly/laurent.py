@@ -11,6 +11,7 @@ Laurent ring (inverting a non-monomial) raise :class:`NonLaurentResult`.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Mapping, Union
 
 from .errors import NonLaurentResult
@@ -167,29 +168,28 @@ class LaurentPolynomial:
                         f"binding for {v} must be an invertible monomial "
                         f"(it appears with negative exponents)"
                     )
-        power_cache: dict[tuple[str, int], LaurentPolynomial] = {}
-
-        def power(v: str, k: int) -> LaurentPolynomial:
-            key = (v, k)
-            if key not in power_cache:
-                power_cache[key] = bound[v] ** k
-            return power_cache[key]
-
-        total = LaurentPolynomial.zero()
+        # One pass into one dict.  Each power of a binding is lifted once to
+        # (exponents, coeff) pairs; only non-monomial bindings expand a term.
+        names = tuple(sorted(
+            {v for v in self._vars if v not in bound}.union(*(b._vars for b in bound.values()))
+        ))
+        lifted: dict[tuple[str, int], list[tuple[tuple[int, ...], int]]] = {}
+        total: dict[tuple[int, ...], int] = {}
         for exps, c in self._terms.items():
-            residual_exps = {}
-            factor = LaurentPolynomial.constant(c)
+            free = {v: k for v, k in zip(self._vars, exps) if v not in bound}
+            products = [(tuple(free.get(v, 0) for v in names), c)]
             for v, k in zip(self._vars, exps):
-                if k == 0:
-                    continue
-                if v in bound:
-                    factor = factor * power(v, k)
-                else:
-                    residual_exps[v] = k
-            if residual_exps:
-                factor = factor * LaurentPolynomial.monomial(1, residual_exps)
-            total = total + factor
-        return total
+                if k and v in bound:
+                    if (v, k) not in lifted:
+                        lifted[v, k] = list(_expand(bound[v] ** k, names).items())
+                    products = [
+                        (tuple(map(add, e1, e2)), c1 * c2)
+                        for e1, c1 in products
+                        for e2, c2 in lifted[v, k]
+                    ]
+            for e, coeff in products:
+                total[e] = total.get(e, 0) + coeff
+        return LaurentPolynomial(names, total)
 
     # -- output ----------------------------------------------------------------
 
@@ -262,12 +262,13 @@ def _align(a: LaurentPolynomial, b: LaurentPolynomial):
     if a._vars == b._vars:
         return a._vars, a._terms, b._terms
     names = tuple(sorted(set(a._vars) | set(b._vars)))
+    return names, _expand(a, names), _expand(b, names)
 
-    def expand(p: LaurentPolynomial) -> dict[tuple[int, ...], int]:
-        idx = [p._vars.index(v) if v in p._vars else None for v in names]
-        return {
-            tuple(0 if i is None else e[i] for i in idx): c
-            for e, c in p._terms.items()
-        }
 
-    return names, expand(a), expand(b)
+def _expand(p: LaurentPolynomial, names: tuple[str, ...]) -> dict[tuple[int, ...], int]:
+    """Term dict of p re-indexed to ``names``, a superset of its variables."""
+    idx = [p._vars.index(v) if v in p._vars else None for v in names]
+    return {
+        tuple(0 if i is None else e[i] for i in idx): c
+        for e, c in p._terms.items()
+    }

@@ -327,10 +327,13 @@ def jones(
     exotic diagrams with a k = 0 state (use normalized=False there, which is
     the verbatim state-sum polynomial).
     """
-    k = kauffman(diagram, cap=cap)
+    return _jones_of(kauffman(diagram, cap=cap), diagram.writhe(), normalized)
+
+
+def _jones_of(k: LaurentPolynomial, w: int, normalized: bool) -> LaurentPolynomial:
+    """The Jones image of a four-variable bracket ``k`` of writhe ``w``."""
     if normalized:
         k = k * LaurentPolynomial.variable("d") ** -1
-    w = diagram.writhe()
     u = LaurentPolynomial.variable("u")
     image = k.substitute({"A": u ** -1, "B": u, "d": -(u ** 2) - u ** -2})
     return LaurentPolynomial.monomial((-1) ** (w % 2), {"u": 3 * w}) * image

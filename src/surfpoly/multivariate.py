@@ -177,7 +177,7 @@ def verify_multivariate_duality(
     if g == 0:
         z_dual = lhs.substitute({"A": 1, "B": 1})
         z_rhs = (q ** (dual.n_components - m.n_vertices)) * weighting.product() * (
-            p_bar(graph, weighting.inverted(), cap=cap).substitute({"A": 1, "B": 1})
+            inner.substitute({"A": 1, "B": 1})
         )
         ok2 = z_dual == z_rhs
         verdicts.append(

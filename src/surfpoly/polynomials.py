@@ -14,6 +14,7 @@ identity exactly and compare canonical forms.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Callable, Iterable, Sequence
 
@@ -47,14 +48,8 @@ def _p_of(hist: Counter) -> LaurentPolynomial:
 
 def _br_of(hist: Counter) -> LaurentPolynomial:
     counts = _exponents(hist, lambda i, c_g: (i.c - c_g, i.n, i.c - i.bc + i.n))
-    x_minus_1 = LaurentPolynomial.variable("X") - 1
-    powers: dict[int, LaurentPolynomial] = {}
-    total = LaurentPolynomial.zero()
-    for (j, nn, zz), cnt in sorted(counts.items()):
-        if j not in powers:
-            powers[j] = x_minus_1 ** j
-        total = total + powers[j] * LaurentPolynomial.monomial(cnt, {"Y": nn, "Z": zz})
-    return total
+    x = LaurentPolynomial.variable("X")
+    return LaurentPolynomial(("X", "Y", "Z"), counts).substitute({"X": x - 1})
 
 
 def _p_prime_of(hist: Counter) -> LaurentPolynomial:
@@ -287,10 +282,12 @@ def verify_specializations(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> Polyn
         pp == (y ** g) * p.substitute({"A": a * a * y, "B": b * b * (y ** -1)}),
     )
 
-    # multiplicativity over ribbon components
-    product = LaurentPolynomial.constant(1)
-    for comp in component_maps(m):
-        product = product * p_bruteforce(comp, cap=cap)
+    # multiplicativity over ribbon components; a connected map is its own
+    # only component, so its product is p and is not swept again
+    comps = component_maps(m)
+    product = p if len(comps) == 1 else math.prod(
+        (p_bruteforce(comp, cap=cap) for comp in comps), start=LaurentPolynomial.constant(1)
+    )
     check("ribbon multiplicativity over disjoint components", p == product)
 
     return PolynomialReport(

@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -62,10 +63,23 @@ def test_bracket_and_jones_golden(capsys, data_dir):
     assert code == 0 and out == "-u^-16 + u^-12 + u^-4\n"
 
 
-def test_jones_raw_fallback(capsys, data_dir):
+def test_jones_raw_fallback(capsys, data_dir, monkeypatch):
+    # count bracket state sums whichever module calls kauffman
+    links_mod = importlib.import_module("surfpoly.links")
+    cli_mod = importlib.import_module("surfpoly.cli")
+    real = links_mod.kauffman
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(links_mod, "kauffman", counting)
+    monkeypatch.setattr(cli_mod, "kauffman", counting)
     code, out, err = run_cli(capsys, "jones", str(data_dir / "vtrefoil.vlk"))
     assert code == 0
     assert "unnormalized" in err
+    assert len(calls) == 1  # the fallback reuses the bracket
     code, out2, err2 = run_cli(capsys, "jones", "--raw", str(data_dir / "vtrefoil.vlk"))
     assert code == 0 and out2 == out and err2 == ""
 

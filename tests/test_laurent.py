@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfpoly.errors import NonLaurentResult
 from surfpoly.laurent import LaurentPolynomial as L
@@ -119,3 +121,65 @@ def test_variables_dropped_when_unused():
     p = X + Y - Y
     assert p.variables == ("X",)
     assert p == X
+
+
+# -- substitute against the term-by-term expansion ------------------------------
+
+NAMES = ("X", "Y", "Z")
+
+
+def _reference_substitute(p, bindings):
+    """Expand term by term with ``*`` and ``+`` (the algorithm ``substitute``
+    replaced); ``**`` raises NonLaurentResult for an illegal inverse."""
+    total = L.zero()
+    for exps, c in p.terms.items():
+        factor = L.constant(c)
+        for name, k in zip(p.variables, exps):
+            b = bindings.get(name, v(name))
+            factor = factor * (L.constant(b) if isinstance(b, int) else b) ** k
+        total = total + factor
+    return total
+
+
+@st.composite
+def polys_and_bindings(draw):
+    """A 3-variable polynomial and bindings of three kinds: integers,
+    +-1-coefficient monomials, and binomials, the last only on variables
+    that occur with nonnegative exponents."""
+    # a variable's exponents lie in [-3, 3] or, so that binomials are drawn
+    # often, in [0, 3]
+    exponents = st.tuples(*(st.integers(draw(st.sampled_from([-3, 0])), 3) for _ in NAMES))
+    terms = draw(st.dictionaries(exponents, st.integers(-5, 5), max_size=6))
+    p = L(NAMES, terms)
+
+    def monomial(coeffs):
+        exps = st.dictionaries(st.sampled_from(NAMES + ("t",)), st.integers(-2, 2), max_size=2)
+        return L.monomial(draw(st.sampled_from(coeffs)), draw(exps))
+
+    bindings = {}
+    for name in sorted(draw(st.sets(st.sampled_from(NAMES), min_size=1))):
+        i = p.variables.index(name) if name in p.variables else None
+        nonnegative = i is None or all(e[i] >= 0 for e in p.terms)
+        kind = draw(st.sampled_from(["int", "monomial", "binomial"][: 3 if nonnegative else 2]))
+        if kind == "int":
+            bindings[name] = draw(st.integers(-2, 2))
+        elif kind == "monomial":
+            bindings[name] = monomial([1, -1])
+        else:
+            bindings[name] = monomial([1, -1, 2]) + monomial([1, -1, 2])
+    return p, bindings
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(polys_and_bindings())
+def test_substitute_matches_term_by_term_reference(case):
+    p, bindings = case
+    try:
+        expected = _reference_substitute(p, bindings)
+    except NonLaurentResult:
+        with pytest.raises(NonLaurentResult):
+            p.substitute(bindings)
+        return
+    got = p.substitute(bindings)
+    assert got == expected
+    assert got.to_canonical_string() == expected.to_canonical_string()

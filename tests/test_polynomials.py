@@ -195,6 +195,27 @@ def test_component_maps(tb2, sl):
     assert sorted(c.n_edges for c in comps) == [1, 2]
 
 
+def test_specializations_sweep_a_connected_map_once(monkeypatch, tb2, sl, theta):
+    # P of a connected map is its own component product, so only m and its
+    # dual are swept; a disjoint union also sweeps each of its components
+    poly_mod = importlib.import_module("surfpoly.polynomials")
+    real = poly_mod.histogram
+    swept = []
+    monkeypatch.setattr(
+        poly_mod, "histogram", lambda graph, *a, **k: swept.append(graph) or real(graph, *a, **k)
+    )
+    for m, sweeps in [
+        (tb2, 2),
+        (theta, 2),
+        (tb2.disjoint_union(sl), 2 + 2),
+        (theta.disjoint_union(sl).disjoint_union(tb2), 2 + 3),
+    ]:
+        swept.clear()
+        rep = verify_specializations(m)
+        assert rep.all_passed, rep.lines()
+        assert len(swept) == sweeps, m
+
+
 def test_threads_match_sequential(theta):
     big = theta
     for _ in range(2):
