@@ -491,6 +491,7 @@ def verify_subgroup_duality(m: CombinatorialMap, cap: int = 20) -> PolynomialRep
     # dual edges keep their ids, so H* = the duals of the edges not in H
     # is the mask complement in the dual scanner
     dual_sc = SubgraphScanner(g_dual)
+    dual_codes = dual_sc.codes()
     edges = g_full.sorted_edges
     full = (1 << len(edges)) - 1
     c_g = g_full.components_count()
@@ -509,7 +510,7 @@ def verify_subgroup_duality(m: CombinatorialMap, cap: int = 20) -> PolynomialRep
             [hom.project_chain(push_chain(c, dual_chain)) for c in fundamental_cycles(g_dual, hs)],
             hom.dim,
         )
-        inv_hs = dual_sc.invariants_of_mask(full ^ mask)
+        inv_hs = dual_sc.decode(dual_codes[full ^ mask])
         if (
             v_hs != orthogonal_complement(v_h, hom.form)
             or v_h.dim + v_hs.dim != hom.dim

@@ -5,8 +5,8 @@ computes the tuple (c, v, e, n, bc, s, s_perp, k, l):
 
 * c, v, e — components, vertices, edges of H (isolated vertices included);
 * n = e - v + c — nullity, the rank of H's first homology;
-* bc — boundary circles of a regular neighborhood of H, traced in the
-  rotation system restricted to H;
+* bc — boundary circles of a regular neighborhood of H, the cycles that
+  H's ribbons make of the corners at its vertices;
 * s = 2c - v + e - bc — twice the genus of that neighborhood;
 * s_perp — twice the genus of the complement surface, from the Euler count
   of the complement cell structure (faces, unused edges, unmarked vertices);
@@ -26,9 +26,11 @@ the optional process-pool split.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .errors import InternalInvariantError, NotCellulation, NotSpanning, TooManyEdges
@@ -55,137 +57,112 @@ class SubgraphInvariants:
 
 
 class SubgraphScanner:
-    """Precomputed indexes for evaluating many spanning subgraphs of one
-    marked graph; all 2^e subgraph queries share this work."""
+    """Link tables for evaluating every spanning subgraph of one marked graph.
+
+    c, c_perp and bc are class counts of one union-find over three node
+    ranges.  c: the marked vertices; an edge in H links its ends.  c_perp:
+    the faces and unmarked vertices; a host edge not in H links its two
+    faces and its unmarked ends (an edge cell always joins a face).  bc:
+    the corners kappa(d), between dart d and sigma(d) at marked vertices; a
+    dart x links kappa(sigma^-1 x) to kappa(alpha x) if its edge is in H,
+    else to kappa(x), so every corner has degree 2 and the classes are the
+    boundary circles.  The links of unmarked host edges are applied here
+    once; ``ins[i]``/``outs[i]`` hold those of marked edge i in/out of H.
+    """
 
     def __init__(self, graph: EmbeddedSubgraph):
         host = graph.host
-        self.graph = graph
-        self.host = host
         self.isolated = host.isolated_vertices
         self.g_total = host.total_genus
         self.chi_sigma = host.euler_characteristic()
-
-        self.verts = tuple(sorted(graph.g_vertices))
-        vidx = {v: i for i, v in enumerate(self.verts)}
         self.edges = graph.sorted_edges
         self.eidx = {e: i for i, e in enumerate(self.edges)}
-        self.edge_ends = tuple(
-            (vidx[host.edge_endpoints(e)[0]], vidx[host.edge_endpoints(e)[1]])
-            for e in self.edges
+
+        marked = graph.g_vertices
+        face_of, vertex_of = host.face_of, host.vertex_of
+        alpha, sigma_inv = host.alpha, host.sigma_inv
+        ranges = (  # c, c_perp, bc
+            [("v", v) for v in sorted(marked)],
+            [("f", f) for f in host.face_ids] + [("v", v) for v in host.vertex_ids if v not in marked],
+            [("k", d) for d in host.darts if vertex_of[d] in marked],
         )
-        # rotation at each marked vertex: darts paired with their marked-edge
-        # index (None when the dart's edge is not in the marked graph)
-        rot = []
-        for v in self.verts:
-            cyc = next(c for c in host.vertex_cycles if c[0] == v)
-            rot.append(tuple((d, self.eidx.get(host.edge_of(d))) for d in cyc))
-        self.rotations = tuple(rot)
+        node = {key: i for i, key in enumerate(key for keys in ranges for key in keys)}
+        self.sizes = tuple(map(len, ranges))
+        # a code's fields, low to high: e(H), then the merges of each range
+        self.widths = tuple(n.bit_length() for n in (len(self.edges), *self.sizes))
+        w_c, w_perp, w_bc = (1 << sum(self.widths[:i]) for i in (1, 2, 3))
 
-        # complement elements: faces, all host edges, unmarked vertices
-        host_edges = host.edge_ids
-        self.heidx = {e: i for i, e in enumerate(host_edges)}
-        n_faces = len(host.face_cycles)
-        n_hedges = len(host_edges)
-        unmarked = [v for v in host.vertex_ids if v not in graph.g_vertices]
-        uidx = {v: n_faces + n_hedges + i for i, v in enumerate(unmarked)}
-        self.n_elements = n_faces + n_hedges + len(unmarked)
-        face_edge_joins = []   # (face element, host-edge element, marked-edge idx or None)
-        face_vertex_joins = []  # (face element, unmarked-vertex element)
-        for fi, cyc in enumerate(host.face_cycles):
-            edge_seen = set()
-            vert_seen = set()
-            for d in cyc:
-                e = host.edge_of(d)
-                if e not in edge_seen:
-                    edge_seen.add(e)
-                    face_edge_joins.append((fi, n_faces + self.heidx[e], self.eidx.get(e)))
-                v = host.vertex_of[d]
-                if v in uidx and v not in vert_seen:
-                    vert_seen.add(v)
-                    face_vertex_joins.append((fi, uidx[v]))
-        self.face_edge_joins = tuple(face_edge_joins)
-        self.face_vertex_joins = tuple(face_vertex_joins)
-        edge_vertex_joins = []
-        for e in host_edges:
-            elem = n_faces + self.heidx[e]
-            for v in host.edge_endpoints(e):
-                if v in uidx:
-                    edge_vertex_joins.append((elem, uidx[v], self.eidx.get(e)))
-        self.edge_vertex_joins = tuple(edge_vertex_joins)
-        # marked-edge index of each element, None for faces/vertices/unmarked edges
-        self.elem_marked: tuple = tuple(
-            self.eidx.get(host_edges[x - n_faces]) if n_faces <= x < n_faces + n_hedges else None
-            for x in range(self.n_elements)
+        def in_links(e: int) -> list[tuple[int, int, int]]:
+            d = alpha[e]
+            return [
+                (node["v", vertex_of[e]], node["v", vertex_of[d]], w_c),
+                (node["k", sigma_inv[e]], node["k", d], w_bc),
+                (node["k", sigma_inv[d]], node["k", e], w_bc),
+            ]
+
+        def out_links(e: int) -> list[tuple[int, int, int]]:
+            links = [(node["f", face_of[e]], node["f", face_of[alpha[e]]], w_perp)]
+            for x in (e, alpha[e]):
+                if ("k", x) in node:
+                    links.append((node["k", sigma_inv[x]], node["k", x], w_bc))
+                else:
+                    links.append((node["f", face_of[x]], node["v", vertex_of[x]], w_perp))
+            return links
+
+        parent = list(range(len(node)))
+        self.base_code = _link(
+            parent, [link for e in host.edge_ids if e not in self.eidx for link in out_links(e)]
         )
+        self.base = tuple(parent)
+        self.ins = tuple(map(in_links, self.edges))
+        self.outs = tuple(map(out_links, self.edges))
 
-    @staticmethod
-    def _find(parent: list[int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def codes(self, prefix: int = 0, depth: int = 0) -> array:
+        """Codes of the subgraphs whose top ``depth`` mask bits are
+        ``prefix``, in increasing mask order.
 
-    def invariants_of_mask(self, mask: int) -> SubgraphInvariants:
-        host = self.host
-        find = self._find
-        e_count = bin(mask).count("1")
-        v_count = len(self.verts) + self.isolated
-
-        parent = list(range(len(self.verts)))
-        for i, (u, w) in enumerate(self.edge_ends):
-            if mask >> i & 1:
-                ru, rw = find(parent, u), find(parent, w)
-                if ru != rw:
-                    parent[rw] = ru
-        c = sum(1 for i, p in enumerate(parent) if p == i) + self.isolated
-
-        # boundary circles: faces of the sub-map induced on H's darts
-        sub_sigma: dict[int, int] = {}
-        bc = self.isolated
-        for rot in self.rotations:
-            kept = [d for d, ei in rot if ei is not None and mask >> ei & 1]
-            if not kept:
-                bc += 1
+        One depth-first walk from the top bit down, out-branch first: each
+        node copies its union-find for the out child and reuses it for the
+        in child.
+        """
+        ins, outs = self.ins, self.outs
+        lo = len(self.edges) - depth
+        parent, code = list(self.base), self.base_code
+        for i in range(lo, len(self.edges)):
+            if prefix >> (i - lo) & 1:
+                code += 1 + _link(parent, ins[i])
             else:
-                for i, d in enumerate(kept):
-                    sub_sigma[d] = kept[(i + 1) % len(kept)]
-        seen: set[int] = set()
-        alpha = host.alpha
-        for d0 in sub_sigma:
-            if d0 in seen:
-                continue
-            bc += 1
-            d = d0
-            while d not in seen:
-                seen.add(d)
-                d = sub_sigma[alpha[d]]
+                code += _link(parent, outs[i])
+        out = array("q")
 
+        def walk(parent: list[int], code: int, i: int) -> None:
+            child = parent[:]
+            out_code = code + _link(child, outs[i])
+            in_code = code + 1 + _link(parent, ins[i])
+            if i:  # bit 0 appends its two leaves itself: half the calls
+                walk(child, out_code, i - 1)
+                walk(parent, in_code, i - 1)
+            else:
+                out.append(out_code)
+                out.append(in_code)
+
+        if lo:
+            walk(parent, code, lo - 1)
+        else:
+            out.append(code)
+        return out
+
+    def decode(self, code: int) -> SubgraphInvariants:
+        """Invariants of the subgraph with this code, range-checked."""
+        fields = []
+        for width in self.widths:
+            fields.append(code & (1 << width) - 1)
+            code >>= width
+        e_count, *merges = fields
+        iso = self.isolated
+        c, c_perp, bc = (size - merged + iso for size, merged in zip(self.sizes, merges))
+        v_count = self.sizes[0] + iso
         s = 2 * c - v_count + e_count - bc
-
-        # complement components: faces + edges not in H + unmarked vertices
-        cp = list(range(self.n_elements))
-        for fa, el, ei in self.face_edge_joins:
-            if ei is None or not mask >> ei & 1:
-                ra, rb = find(cp, fa), find(cp, el)
-                if ra != rb:
-                    cp[rb] = ra
-        for fa, ve in self.face_vertex_joins:
-            ra, rb = find(cp, fa), find(cp, ve)
-            if ra != rb:
-                cp[rb] = ra
-        for el, ve, ei in self.edge_vertex_joins:
-            if ei is None or not mask >> ei & 1:
-                ra, rb = find(cp, el), find(cp, ve)
-                if ra != rb:
-                    cp[rb] = ra
-        c_perp = self.isolated
-        for x, ei in enumerate(self.elem_marked):
-            if ei is not None and mask >> ei & 1:
-                continue  # ribbons of H-edges are not complement cells
-            if cp[x] == x:
-                c_perp += 1
-
         chi_perp = self.chi_sigma - (v_count - e_count)
         s_perp = 2 * c_perp - chi_perp - bc
         n = e_count - v_count + c
@@ -199,6 +176,9 @@ class SubgraphScanner:
                 f"invariant out of range: s={s} s_perp={s_perp} k={k} l={l}"
             )
         return SubgraphInvariants(c, v_count, e_count, n, bc, s, s_perp, k, l)
+
+    def invariants_of_mask(self, mask: int) -> SubgraphInvariants:
+        return self.decode(self.codes(mask, len(self.edges))[0])
 
     def mask_of(self, h_edges: Iterable[int]) -> int:
         mask = 0
@@ -217,21 +197,36 @@ def check_cap(n_edges: int, cap: int | None) -> None:
         raise TooManyEdges(f"{n_edges} edges exceeds cap {cap}")
 
 
+def _link(parent: list[int], links: Iterable[tuple[int, int, int]]) -> int:
+    """Apply ``links`` (a, b, weight) to the union-find ``parent``; returns
+    the summed weights of the links that merged two classes."""
+    gained = 0
+    for a, b, weight in links:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]  # path halving
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[b] = a
+            gained += weight
+    return gained
+
+
 def scan(
     graph: EmbeddedSubgraph, cap: int | None = DEFAULT_CAP
 ) -> Iterator[tuple[int, SubgraphInvariants]]:
     """(mask, invariants) for every spanning subgraph of ``graph``, where bit
-    i of the mask is ``graph.sorted_edges[i]``.  The cap is checked at the
-    call, before the first subgraph is asked for."""
-    n = len(graph.sorted_edges)
-    check_cap(n, cap)
+    i of the mask is ``graph.sorted_edges[i]``.  The cap is checked, and the
+    subgraphs swept, at the call."""
+    check_cap(len(graph.sorted_edges), cap)
     sc = SubgraphScanner(graph)
-    return ((mask, sc.invariants_of_mask(mask)) for mask in range(1 << n))
+    codes = sc.codes()
+    decoded = {code: sc.decode(code) for code in set(codes)}
+    return enumerate(map(decoded.__getitem__, codes))
 
 
-def _count(graph: EmbeddedSubgraph, start: int, stop: int) -> Counter:
-    sc = SubgraphScanner(graph)
-    return Counter(map(sc.invariants_of_mask, range(start, stop)))
+def _count(graph: EmbeddedSubgraph, prefix: int, depth: int) -> Counter:
+    return Counter(SubgraphScanner(graph).codes(prefix, depth))
 
 
 def histogram(
@@ -239,23 +234,22 @@ def histogram(
 ) -> Counter:
     """How many spanning subgraphs of ``graph`` have each invariant tuple.
 
-    With ``threads`` > 1 on large inputs the masks are split into chunks
-    over a process pool; the counts, and so every projection, are the same
-    as the sequential ones.
+    With ``threads`` > 1 on large inputs the sweep is split on the top mask
+    bits, one subtree per chunk, over a process pool; the counts, and so
+    every projection, are the same as the sequential ones.
     """
     n = len(graph.sorted_edges)
     check_cap(n, cap)
-    total = 1 << n
-    if threads < 2 or total < _PARALLEL_THRESHOLD:
-        return _count(graph, 0, total)
-    chunk = -(-total // (4 * threads))
-    starts = range(0, total, chunk)
-    stops = [min(start + chunk, total) for start in starts]
-    hist: Counter = Counter()
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(_count, [graph] * len(starts), starts, stops):
-            hist.update(part)
-    return hist
+    sc = SubgraphScanner(graph)
+    if threads < 2 or 1 << n < _PARALLEL_THRESHOLD:
+        counts = Counter(sc.codes())
+    else:
+        depth = min(n, (4 * threads - 1).bit_length())  # 2^depth >= 4 * threads chunks
+        counts = Counter()
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            for part in pool.map(_count, repeat(graph), range(1 << depth), repeat(depth)):
+                counts.update(part)
+    return Counter({sc.decode(code): cnt for code, cnt in counts.items()})
 
 
 def invariants(graph: EmbeddedSubgraph, h_edges: Iterable[int]) -> SubgraphInvariants:

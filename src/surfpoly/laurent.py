@@ -116,14 +116,11 @@ class LaurentPolynomial:
                 raise NonLaurentResult(f"cannot invert coefficient {c}")
             inv = LaurentPolynomial(self._vars, {tuple(-e for e in exps): c})
             return inv ** (-k)
-        result = LaurentPolynomial.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        if k <= 1:
+            return self if k else LaurentPolynomial.constant(1)
+        half = self ** (k >> 1)
+        square = half * half
+        return square * self if k & 1 else square
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for classical_oracle
 
+from surfpoly.corpus import all_maps
 from surfpoly.maps import EmbeddedSubgraph, parse_map, parse_map_file
 
 DATA = Path(__file__).parent.parent / "src" / "surfpoly" / "data"
@@ -13,6 +14,12 @@ DATA = Path(__file__).parent.parent / "src" / "surfpoly" / "data"
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA
+
+
+@pytest.fixture(scope="session")
+def maps_up_to_4():
+    """Exhaustive: all maps with <= 4 edges up to isomorphism."""
+    return all_maps(4)
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ import pytest
 import sympy as sp
 
 from classical_oracle import bracket as oracle_bracket, jones as oracle_jones
-from surfpoly.corpus import all_maps, alternating_diagrams, random_maps
+from surfpoly.corpus import alternating_diagrams, random_maps
 from surfpoly.homology import (
     SurfaceHomology,
     image_subspace,
@@ -48,9 +48,9 @@ _P_CACHE: dict[int, L] = {}
 
 
 @pytest.fixture(scope="module")
-def corpus_a():
+def corpus_a(maps_up_to_4):
     """Exhaustive: all maps with <= 4 edges up to isomorphism."""
-    return all_maps(4)
+    return maps_up_to_4
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,204 @@ import random
 
 import pytest
 
+from surfpoly.corpus import alternating_diagrams
 from surfpoly.errors import NotSpanning
-from surfpoly.invariants import SubgraphScanner, dual_subgraph, invariants
-from surfpoly.maps import EmbeddedSubgraph, random_map
+from surfpoly.invariants import SubgraphScanner, dual_subgraph, invariants, scan
+from surfpoly.links import tait_graph
+from surfpoly.maps import CombinatorialMap, EmbeddedSubgraph, random_map, standard_alpha
+
+
+class ReferenceScanner:
+    """The face-tracing scanner the union-find sweep replaced, kept as the
+    reference it is compared against: bc traces the faces of the sub-map on
+    H's darts, and c_perp is a second union-find over the complement cells
+    (faces, host edges not in H, unmarked vertices)."""
+
+    def __init__(self, graph: EmbeddedSubgraph):
+        host = graph.host
+        self.host = host
+        self.isolated = host.isolated_vertices
+        self.g_total = host.total_genus
+        self.chi_sigma = host.euler_characteristic()
+        self.verts = tuple(sorted(graph.g_vertices))
+        vidx = {v: i for i, v in enumerate(self.verts)}
+        self.edges = graph.sorted_edges
+        eidx = {e: i for i, e in enumerate(self.edges)}
+        self.edge_ends = tuple(
+            (vidx[host.edge_endpoints(e)[0]], vidx[host.edge_endpoints(e)[1]])
+            for e in self.edges
+        )
+        rot = []
+        for v in self.verts:
+            cyc = next(c for c in host.vertex_cycles if c[0] == v)
+            rot.append(tuple((d, eidx.get(host.edge_of(d))) for d in cyc))
+        self.rotations = tuple(rot)
+
+        host_edges = host.edge_ids
+        heidx = {e: i for i, e in enumerate(host_edges)}
+        n_faces = len(host.face_cycles)
+        n_hedges = len(host_edges)
+        unmarked = [v for v in host.vertex_ids if v not in graph.g_vertices]
+        uidx = {v: n_faces + n_hedges + i for i, v in enumerate(unmarked)}
+        self.n_elements = n_faces + n_hedges + len(unmarked)
+        face_edge_joins = []
+        face_vertex_joins = []
+        for fi, cyc in enumerate(host.face_cycles):
+            edge_seen = set()
+            vert_seen = set()
+            for d in cyc:
+                e = host.edge_of(d)
+                if e not in edge_seen:
+                    edge_seen.add(e)
+                    face_edge_joins.append((fi, n_faces + heidx[e], eidx.get(e)))
+                v = host.vertex_of[d]
+                if v in uidx and v not in vert_seen:
+                    vert_seen.add(v)
+                    face_vertex_joins.append((fi, uidx[v]))
+        self.face_edge_joins = tuple(face_edge_joins)
+        self.face_vertex_joins = tuple(face_vertex_joins)
+        edge_vertex_joins = []
+        for e in host_edges:
+            elem = n_faces + heidx[e]
+            for v in host.edge_endpoints(e):
+                if v in uidx:
+                    edge_vertex_joins.append((elem, uidx[v], eidx.get(e)))
+        self.edge_vertex_joins = tuple(edge_vertex_joins)
+        self.elem_marked = tuple(
+            eidx.get(host_edges[x - n_faces]) if n_faces <= x < n_faces + n_hedges else None
+            for x in range(self.n_elements)
+        )
+
+    @staticmethod
+    def _find(parent, x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def invariants_of_mask(self, mask: int) -> tuple[int, ...]:
+        find = self._find
+        e_count = bin(mask).count("1")
+        v_count = len(self.verts) + self.isolated
+
+        parent = list(range(len(self.verts)))
+        for i, (u, w) in enumerate(self.edge_ends):
+            if mask >> i & 1:
+                ru, rw = find(parent, u), find(parent, w)
+                if ru != rw:
+                    parent[rw] = ru
+        c = sum(1 for i, p in enumerate(parent) if p == i) + self.isolated
+
+        sub_sigma = {}
+        bc = self.isolated
+        for rot in self.rotations:
+            kept = [d for d, ei in rot if ei is not None and mask >> ei & 1]
+            if not kept:
+                bc += 1
+            else:
+                for i, d in enumerate(kept):
+                    sub_sigma[d] = kept[(i + 1) % len(kept)]
+        seen = set()
+        alpha = self.host.alpha
+        for d0 in sub_sigma:
+            if d0 in seen:
+                continue
+            bc += 1
+            d = d0
+            while d not in seen:
+                seen.add(d)
+                d = sub_sigma[alpha[d]]
+
+        s = 2 * c - v_count + e_count - bc
+
+        cp = list(range(self.n_elements))
+        for fa, el, ei in self.face_edge_joins:
+            if ei is None or not mask >> ei & 1:
+                ra, rb = find(cp, fa), find(cp, el)
+                if ra != rb:
+                    cp[rb] = ra
+        for fa, ve in self.face_vertex_joins:
+            ra, rb = find(cp, fa), find(cp, ve)
+            if ra != rb:
+                cp[rb] = ra
+        for el, ve, ei in self.edge_vertex_joins:
+            if ei is None or not mask >> ei & 1:
+                ra, rb = find(cp, el), find(cp, ve)
+                if ra != rb:
+                    cp[rb] = ra
+        c_perp = self.isolated
+        for x, ei in enumerate(self.elem_marked):
+            if ei is not None and mask >> ei & 1:
+                continue
+            if cp[x] == x:
+                c_perp += 1
+
+        chi_perp = self.chi_sigma - (v_count - e_count)
+        s_perp = 2 * c_perp - chi_perp - bc
+        n = e_count - v_count + c
+        g = self.g_total
+        k = n - g + (s_perp - s) // 2
+        l = (2 * g - s - s_perp) // 2
+        return (c, v_count, e_count, n, bc, s, s_perp, k, l)
+
+
+def assert_matches_reference(graph: EmbeddedSubgraph) -> None:
+    """Every mask of the sweep, of ``scan`` and of the one-mask path equals
+    the reference."""
+    ref = ReferenceScanner(graph)
+    sc = SubgraphScanner(graph)
+    expected = [ref.invariants_of_mask(mask) for mask in range(1 << len(graph.sorted_edges))]
+    assert [inv.as_tuple() for _, inv in scan(graph, cap=None)] == expected, graph
+    assert [sc.invariants_of_mask(mask).as_tuple() for mask in range(len(expected))] == expected
+
+
+def random_marking(m: CombinatorialMap, rng: random.Random) -> EmbeddedSubgraph:
+    verts = frozenset(v for v in m.vertex_ids if rng.random() < 0.7)
+    edges = frozenset(
+        e for e in m.edge_ids if set(m.edge_endpoints(e)) <= verts and rng.random() < 0.8
+    )
+    return EmbeddedSubgraph(m, verts, edges)
+
+
+def test_sweep_matches_reference_on_every_map_up_to_4_edges(maps_up_to_4):
+    for m in maps_up_to_4:
+        assert_matches_reference(EmbeddedSubgraph.full(m))
+
+
+def test_sweep_matches_reference_on_marked_subgraphs():
+    # not cellulations: some vertices and edges unmarked, some isolated vertices
+    rng = random.Random(23)
+    for _ in range(300):
+        m = random_map(rng.randint(1, 9), rng)
+        if rng.random() < 0.3:
+            m = CombinatorialMap(dict(m.sigma), dict(m.alpha), rng.randint(1, 2))
+        assert_matches_reference(random_marking(m, rng))
+
+
+def test_sweep_matches_reference_on_minor_residues():
+    rng = random.Random(29)
+    for _ in range(40):
+        g = random_marking(random_map(rng.randint(2, 7), rng), rng)
+        for e in g.sorted_edges:
+            assert_matches_reference(g.delete_edge(e))
+            if not g.is_loop(e):
+                assert_matches_reference(g.contract_edge(e))
+
+
+def test_sweep_matches_reference_on_tait_graphs():
+    for genus in (0, 1, 2):
+        for diagram in alternating_diagrams(6, genus, 7, seed=31 + genus):
+            assert_matches_reference(tait_graph(diagram).graph)
+
+
+def test_sweep_codes_fit_more_than_1024_corners():
+    # 1200 corners at one vertex: a merge count above 1023 needs an 11-bit field
+    rng = random.Random(37)
+    darts = list(range(1, 1201))
+    rng.shuffle(darts)
+    host = CombinatorialMap(dict(zip(darts, darts[1:] + darts[:1])), standard_alpha(600))
+    marked = frozenset(rng.sample(host.edge_ids, 3))
+    assert_matches_reference(EmbeddedSubgraph(host, frozenset(host.vertex_ids), marked))
 
 
 def test_tb2_marked_loop_examples(tb2):

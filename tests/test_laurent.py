@@ -116,6 +116,19 @@ def test_pow_negative_monomial():
         (1 + X) ** -1
 
 
+def test_pow_multiplies_only_what_it_keeps(monkeypatch):
+    X, Y = v("X"), v("Y")
+    p = 1 + X + Y ** -1
+    expected = {1: p, 2: p * p, 5: p * p * p * p * p, 8: (p * p * p * p) * (p * p * p * p)}
+    real = L.__mul__
+    calls = []
+    monkeypatch.setattr(L, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    for k, muls in ((1, 0), (2, 1), (5, 3), (8, 3)):
+        calls.clear()
+        assert p ** k == expected[k]
+        assert len(calls) == muls, k
+
+
 def test_variables_dropped_when_unused():
     X, Y = v("X"), v("Y")
     p = X + Y - Y

@@ -232,6 +232,9 @@ def test_threads_match_sequential(theta):
     engine._PARALLEL_THRESHOLD = 1 << 6
     try:
         par2 = p_bruteforce(big, threads=2)
+        # 3 workers do not divide the power-of-two count of subtrees
+        counts3 = engine.histogram(EmbeddedSubgraph.full(big), threads=3)
     finally:
         engine._PARALLEL_THRESHOLD = old
     assert par2 == seq
+    assert counts3 == engine.histogram(EmbeddedSubgraph.full(big))
