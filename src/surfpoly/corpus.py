@@ -3,31 +3,39 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 from .links import LinkDiagram, medial_diagram
-from .maps import CombinatorialMap, EmbeddedSubgraph, random_map, standard_alpha
+from .maps import CombinatorialMap, random_map, standard_alpha
 
 
 def all_maps(max_edges: int) -> list[CombinatorialMap]:
     """Every map with at most ``max_edges`` edges (and no isolated
     vertices), one representative per isomorphism class, plus the empty map.
 
-    Enumerates all rotation systems over the standard pairing and dedupes by
-    canonical code.
+    Enumerates all rotation systems over the standard pairing and keeps the
+    first of each isomorphism class: its orbit under conjugation by the
+    relabelings that commute with the pairing (permute and flip edges).
     """
     out: list[CombinatorialMap] = [CombinatorialMap({}, {})]
     for m in range(1, max_edges + 1):
-        darts = list(range(1, 2 * m + 1))
+        darts = range(1, 2 * m + 1)
         alpha = standard_alpha(m)
-        seen: set[bytes] = set()
+        relabelings = [
+            [0] + [d for i, f in zip(order, flips) for d in (2 * i + 1 + f, 2 * i + 2 - f)]
+            for order in permutations(range(m))
+            for flips in product((0, 1), repeat=m)
+        ]
+        seen: set[tuple[int, ...]] = set()
         for images in permutations(darts):
-            sigma = dict(zip(darts, images))
-            cm = CombinatorialMap(sigma, alpha)
-            code = EmbeddedSubgraph.full(cm).canonical_code()
-            if code not in seen:
-                seen.add(code)
-                out.append(cm)
+            if images in seen:
+                continue
+            out.append(CombinatorialMap(dict(zip(darts, images)), alpha))
+            for psi in relabelings:
+                conj = [0] * (2 * m)
+                for d, image in zip(darts, images):
+                    conj[psi[d] - 1] = psi[image]
+                seen.add(tuple(conj))
     return out
 
 

@@ -7,20 +7,30 @@ interleaving on a one-vertex reduction, symplectic orthogonal complements,
 the subgroup-coefficient polynomial, and the subgroup-level duality check
 through the radial map.
 
-All arithmetic is exact over `fractions.Fraction`.
+All arithmetic is exact: subspaces are canonical RREF matrices over
+`fractions.Fraction`, and classes of integral cycles are integers.
 
 Coordinates: a spanning forest of the host is contracted, leaving one vertex
 per component so that every 1-chain is a cycle; H1 coordinates are the free
 columns of the reduced face-boundary space in row echelon form.  Chains over
 host edges map into these coordinates by dropping the forest coordinates
-(the contraction chain map) and reducing modulo face boundaries.
+(the contraction chain map) and reducing modulo face boundaries.  The map is
+linear, so one class per host edge fixes it (`edge_class`): zero on the
+forest, a unit vector on a free loop, minus the free part of its boundary
+row on a pivot loop.  These are integral: in the oriented one-vertex
+reduction each loop meets the face boundaries once with +1 and once with -1,
+so the face-loop matrix is the incidence matrix of a directed graph, totally
+unimodular, and its RREF has entries in {-1, 0, 1} (`_build` checks this).
+V(H) is spanned by the classes of the cycles that one potential union-find
+pass over H's edges closes (`_cycles`), each class packed into one int.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, InternalInvariantError, RadicalNotBoundaries
 from .invariants import SubgraphScanner, scan
@@ -29,6 +39,7 @@ from .maps import CombinatorialMap, EmbeddedSubgraph, UnionFind
 from .report import PolynomialReport, Verdict
 
 Vector = tuple[Fraction, ...]
+Class = tuple[int, ...]  # an integral H1 class
 Chain = dict[int, Fraction]  # edge id -> coefficient
 
 
@@ -48,11 +59,12 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         inv = mat[r][col]
-        mat[r] = [x / inv for x in mat[r]]
+        if inv != 1:
+            mat[r] = [x / inv for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][col] != 0:
                 f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[r])]
         pivots.append(col)
         r += 1
         if r == len(mat):
@@ -94,6 +106,13 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ambient, self.basis))
 
     def intersection(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -150,7 +169,7 @@ def orthogonal_complement(v: Subspace, sp: SymplecticSpace) -> Subspace:
     rows = []
     for b in v.basis:
         rows.append(
-            [sum(b[i] * sp.gram[i][j] for i in range(sp.dimension)) for j in range(sp.dimension)]
+            [sum(x * sp.gram[i][j] for i, x in enumerate(b) if x) for j in range(sp.dimension)]
         )
     return Subspace.from_vectors(nullspace(rows, sp.dimension), sp.dimension)
 
@@ -198,16 +217,23 @@ class SurfaceHomology:
         self.loop_index = {e: i for i, e in enumerate(self.loops)}
 
         boundary_rows = [self._face_boundary(cyc) for cyc in reduced.face_cycles]
-        self.boundary_rref, self.boundary_pivots = rref(boundary_rows)
+        rows, self.boundary_pivots = rref(boundary_rows)
+        if any(x.denominator != 1 for row in rows for x in row):
+            raise InternalInvariantError("face boundary RREF is not integral")
+        self.boundary_rref = [list(map(int, row)) for row in rows]
         free = [c for c in range(len(self.loops)) if c not in self.boundary_pivots]
         self.free_cols = free
         if len(free) != self.dim:
             raise InternalInvariantError(
                 f"H1 dimension {len(free)} does not match 2*genus {self.dim}"
             )
+        self.edge_class: dict[int, Class] = dict.fromkeys(forest, (0,) * self.dim)
+        for j, c in enumerate(free):
+            self.edge_class[self.loops[c]] = tuple(int(i == j) for i in range(self.dim))
+        for row, pc in zip(self.boundary_rref, self.boundary_pivots):
+            self.edge_class[self.loops[pc]] = tuple(-row[c] for c in free)
 
         omega = self._chord_pairing()
-        self._omega_loops = omega
         for row in self.boundary_rref:
             for j in range(len(self.loops)):
                 val = sum(row[i] * omega[i][j] for i in range(len(self.loops)) if row[i])
@@ -264,19 +290,16 @@ class SurfaceHomology:
 
     def project_chain(self, chain: Mapping[int, Fraction | int]) -> Vector:
         """Class of a cycle given as a chain over host edges."""
-        vec = [Fraction(0)] * len(self.loops)
+        vec = [Fraction(0)] * self.dim
         for e, coeff in chain.items():
-            if e in self.loop_index:
-                vec[self.loop_index[e]] += Fraction(coeff)
-            elif e not in self.forest:
+            cls = self.edge_class.get(e)
+            if cls is None:
                 raise InternalInvariantError(f"unknown edge {e} in chain")
-        for row, pc in zip(self.boundary_rref, self.boundary_pivots):
-            f = vec[pc]
-            if f:
-                for i in range(len(self.loops)):
-                    if row[i]:
-                        vec[i] -= f * row[i]
-        return tuple(vec[c] for c in self.free_cols)
+            coeff = Fraction(coeff)
+            for i, x in enumerate(cls):
+                if x:
+                    vec[i] += coeff * x
+        return tuple(vec)
 
     def is_trivial(self, chain: Mapping[int, Fraction | int]) -> bool:
         return not any(self.project_chain(chain))
@@ -303,61 +326,84 @@ def intersection_form(m: CombinatorialMap) -> SymplecticSpace:
 
 # -- subgraph cycle spaces ------------------------------------------------------
 
+_WIDTH = 64  # bits per coordinate of a packed class
+
+
+def _pack(vec: Sequence[Fraction | int]) -> int:
+    """An integral vector as one int, coordinate i in signed field i.  Sums
+    of packed vectors stay exact while no coordinate reaches 2^63: entries
+    are packed only below 2^32, and a cycle sums fewer than 2^31 of them."""
+    if any(x.denominator != 1 or abs(x) >= 1 << 32 for x in vec):
+        raise InternalInvariantError(f"{vec} is not a small integral vector")
+    return sum(int(x) << (_WIDTH * i) for i, x in enumerate(vec))
+
+
+def _unpack(x: int, dim: int) -> Class:
+    out = []
+    for _ in range(dim):
+        x, digit = divmod(x + (1 << _WIDTH - 1), 1 << _WIDTH)
+        out.append(digit - (1 << _WIDTH - 1))
+    return tuple(out)
+
+
+def _cycles(edges: Iterable[tuple[int, int, int]]) -> Iterator[int]:
+    """The packed class of the cycle each (tail, head, packed class) edge
+    closes with the forest of the edges before it, in edge order.  In the
+    union-find ``up[x]`` holds x's parent and the class of the path from the
+    parent to x, so summing to the root gives pot(x), the class of the path
+    from the root; the cycle is pot(tail) + class - pot(head)."""
+    up: dict[int, tuple[int, int]] = {}
+    for u, w, cls in edges:
+        pot_u = pot_w = 0
+        while u in up:
+            u, off = up[u]
+            pot_u += off
+        while w in up:
+            w, off = up[w]
+            pot_w += off
+        cls += pot_u - pot_w
+        if u != w:
+            up[w] = (u, cls)
+        else:
+            yield cls
+
+
 def fundamental_cycles(
     graph: EmbeddedSubgraph, h_edges: Iterable[int]
 ) -> list[Chain]:
     """One cycle per non-forest edge of the spanning subgraph H, as chains
     over host edges (edge oriented from the vertex of its smaller dart)."""
-    host = graph.host
     h = sorted(set(h_edges))
-    parent: dict[int, tuple[int, int, int] | None] = {v: None for v in graph.g_vertices}
-    uf = UnionFind(graph.g_vertices)
-    tree: list[int] = []
-    rest: list[int] = []
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in graph.g_vertices}
-    for e in h:
-        u, w = host.edge_endpoints(e)
-        if uf.find(u) != uf.find(w):
-            uf.union(u, w)
-            tree.append(e)
-            adj[u].append((w, e))
-            adj[w].append((u, e))
-        else:
-            rest.append(e)
-    # root the forest
-    depth: dict[int, int] = {}
-    for root in sorted(graph.g_vertices):
-        if root in depth:
-            continue
-        depth[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w, e in adj[v]:
-                if w not in depth:
-                    depth[w] = depth[v] + 1
-                    parent[w] = (v, e, +1 if host.edge_endpoints(e)[0] == v else -1)
-                    stack.append(w)
+    units = [(*graph.host.edge_endpoints(e), 1 << (_WIDTH * i)) for i, e in enumerate(h)]
+    return [
+        {e: Fraction(x) for e, x in zip(h, _unpack(c, len(h))) if x}
+        for c in _cycles(units)
+    ]
 
-    def path_to_root(v: int) -> Chain:
-        chain: Chain = {}
-        while parent[v] is not None:
-            up, e, sign_down = parent[v]
-            # edge oriented tail->head; walking v -> up is against sign_down
-            chain[e] = chain.get(e, Fraction(0)) - sign_down
-            v = up
-        return chain
 
-    cycles = []
-    for e in rest:
-        u, w = host.edge_endpoints(e)
-        chain: Chain = {e: Fraction(1)}
-        for ee, c in path_to_root(w).items():
-            chain[ee] = chain.get(ee, Fraction(0)) + c
-        for ee, c in path_to_root(u).items():
-            chain[ee] = chain.get(ee, Fraction(0)) - c
-        cycles.append({ee: c for ee, c in chain.items() if c})
-    return cycles
+def _span(classes: Iterable[int], dim: int, memo: dict) -> Subspace:
+    """The span of packed classes.  ``memo`` maps each set of nonzero
+    classes, and each subspace, to the one object kept per distinct
+    subspace: a span is built once per set, and equal spans are identical."""
+    key = frozenset(filter(None, classes))
+    v = memo.get(key)
+    if v is None:
+        v = Subspace.from_vectors([_unpack(x, dim) for x in key], dim)
+        v = memo[key] = memo.setdefault(v, v)
+    return v
+
+
+def _cycle_span(edges: Iterable[tuple[int, int, int]], dim: int, memo: dict) -> tuple[Subspace, int]:
+    """V(H) from H's (tail, head, packed class) edges, and H's nullity."""
+    cycles = list(_cycles(edges))
+    return _span(cycles, dim, memo), len(cycles)
+
+
+def _packed_edges(
+    ends: CombinatorialMap, classes: Mapping[int, Sequence[Fraction | int]], edges: Iterable[int]
+) -> list[tuple[int, int, int]]:
+    """(tail, head, packed class) of each edge, tail and head in ``ends``."""
+    return [(*ends.edge_endpoints(e), _pack(classes[e])) for e in edges]
 
 
 def image_subspace(
@@ -367,10 +413,8 @@ def image_subspace(
 ) -> tuple[Subspace, int]:
     """V(H) = image of H's cycle space in H1(Σ), and k(H) = n(H) - dim V."""
     hom = hom or SurfaceHomology(graph.host)
-    h = list(h_edges)
-    cycles = fundamental_cycles(graph, h)
-    v = Subspace.from_vectors([hom.project_chain(c) for c in cycles], hom.dim)
-    return v, len(cycles) - v.dim
+    v, nullity = _cycle_span(_packed_edges(graph.host, hom.edge_class, h_edges), hom.dim, {})
+    return v, nullity - v.dim
 
 
 # -- subgroup-coefficient polynomial ---------------------------------------------
@@ -385,13 +429,14 @@ def tilde_p(
     surface polynomial.
     """
     subgraphs = scan(graph, cap)
-    edges = graph.sorted_edges
     hom = SurfaceHomology(graph.host)
+    edges = _packed_edges(graph.host, hom.edge_class, graph.sorted_edges)
     c_g = graph.components_count()
+    spans: dict = {}
     grouped: dict[Subspace, dict[tuple[int, ...], int]] = {}
     for mask, inv in subgraphs:
-        h = [edges[i] for i in range(len(edges)) if mask >> i & 1]
-        v, k = image_subspace(graph, h, hom)
+        v, nullity = _cycle_span((e for i, e in enumerate(edges) if mask >> i & 1), hom.dim, spans)
+        k = nullity - v.dim
         if k != inv.k:
             raise InternalInvariantError(
                 f"kernel mismatch: algebra {k} vs combinatorial {inv.k}"
@@ -470,14 +515,6 @@ def radial_map(
     return radial, primal, dualc
 
 
-def push_chain(chain: Chain, edge_map: dict[int, Chain]) -> Chain:
-    out: Chain = {}
-    for e, coeff in chain.items():
-        for re_, c in edge_map[e].items():
-            out[re_] = out.get(re_, Fraction(0)) + coeff * c
-    return {e: c for e, c in out.items() if c}
-
-
 def verify_subgroup_duality(m: CombinatorialMap, cap: int = 20) -> PolynomialReport:
     """Check V(H*) = V(H)^perp (as canonical RREF matrices in the radial
     map's H1 coordinates) and the component/kernel exponent swaps, for every
@@ -494,25 +531,25 @@ def verify_subgroup_duality(m: CombinatorialMap, cap: int = 20) -> PolynomialRep
     dual_codes = dual_sc.codes()
     edges = g_full.sorted_edges
     full = (1 << len(edges)) - 1
+    primal = _packed_edges(m, {e: hom.project_chain(c) for e, c in primal_chain.items()}, edges)
+    dual = _packed_edges(dual_m, {e: hom.project_chain(c) for e, c in dual_chain.items()}, edges)
     c_g = g_full.components_count()
     c_gs = g_dual.components_count()
+    spans: dict = {}
+    perps: dict[Subspace, Subspace] = {}
     verdicts = []
     ok = True
     witness = None
     for mask, inv_h in subgraphs:
-        h = [edges[i] for i in range(len(edges)) if mask >> i & 1]
-        hs = [edges[i] for i in range(len(edges)) if not mask >> i & 1]
-        v_h = Subspace.from_vectors(
-            [hom.project_chain(push_chain(c, primal_chain)) for c in fundamental_cycles(g_full, h)],
-            hom.dim,
-        )
-        v_hs = Subspace.from_vectors(
-            [hom.project_chain(push_chain(c, dual_chain)) for c in fundamental_cycles(g_dual, hs)],
-            hom.dim,
-        )
+        v_h, _ = _cycle_span((e for i, e in enumerate(primal) if mask >> i & 1), hom.dim, spans)
+        v_hs, _ = _cycle_span((e for i, e in enumerate(dual) if not mask >> i & 1), hom.dim, spans)
+        perp = perps.get(v_h)
+        if perp is None:
+            perp = orthogonal_complement(v_h, hom.form)
+            perp = perps[v_h] = spans.setdefault(perp, perp)
         inv_hs = dual_sc.decode(dual_codes[full ^ mask])
         if (
-            v_hs != orthogonal_complement(v_h, hom.form)
+            v_hs != perp
             or v_h.dim + v_hs.dim != hom.dim
             or inv_hs.c - c_gs != inv_h.k
             or inv_h.c - c_g != inv_hs.k

@@ -33,6 +33,7 @@ from .errors import (
     TooManyCrossings,
 )
 from .homology import Chain, Subspace, SurfaceHomology, radial_map
+from .homology import _cycle_span, _pack, _packed_edges, _span
 from .invariants import scan
 from .laurent import LaurentPolynomial
 from .maps import (
@@ -211,46 +212,42 @@ def states(diagram: LinkDiagram, cap: int = 20) -> Iterator[ResolutionState]:
     if cap is not None and n > cap:
         raise TooManyCrossings(f"{n} crossings exceeds cap {cap}")
     base = diagram.base
+    alpha = base.alpha
     surf = diagram.surface_map
     hom = SurfaceHomology(surf)
-    crossings = diagram.crossings
+    dart_class = {d: _pack(hom.project_chain(_curve_chain(base, (d,)))) for d in base.darts}
     free_classes = [
-        hom.project_chain(_curve_chain(surf, walk)) for walk in diagram.free_loops
+        _pack(hom.project_chain(_curve_chain(surf, walk))) for walk in diagram.free_loops
     ]
+    smoothings = []
+    for v in diagram.crossings:
+        o1, o2 = sorted(diagram.over[v])
+        s1, s2 = base.sigma[o1], base.sigma[o2]
+        smoothings.append((((o1, s2), (o2, s1)), ((o1, s1), (o2, s2))))
+    spans: dict = {}
     for mask in range(1 << n):
         choices = tuple(bool(mask >> i & 1) for i in range(n))
         tau: dict[int, int] = {}
-        a_count = 0
-        for i, v in enumerate(crossings):
-            o1, o2 = sorted(diagram.over[v])
-            if choices[i]:
-                a_count += 1
-                pairs = ((o1, base.sigma[o1]), (o2, base.sigma[o2]))
-            else:
-                pairs = ((o1, base.sigma[o2]), (o2, base.sigma[o1]))
-            for x, y in pairs:
+        for pairs, choice in zip(smoothings, choices):
+            for x, y in pairs[choice]:
                 tau[x] = y
                 tau[y] = x
-        uf = UnionFind(base.darts)
-        for d in base.darts:
-            uf.union(d, base.alpha[d])
-            uf.union(d, tau[d])
-        orbits: dict[int, set[int]] = {}
-        for d in base.darts:
-            orbits.setdefault(uf.find(d), set()).add(d)
+        # curves in order of their least dart, each traced from that dart
+        seen: set[int] = set()
         curves = []
-        vectors = list(free_classes)
-        for _, orbit in sorted(orbits.items(), key=lambda kv: min(kv[1])):
-            start = min(orbit)
+        classes = list(free_classes)
+        for start in base.darts:
+            if start in seen:
+                continue
             cycle = [start]
-            d = tau[base.alpha[start]]
-            while d != start:
+            while (d := tau[alpha[cycle[-1]]]) != start:
                 cycle.append(d)
-                d = tau[base.alpha[d]]
+            seen.update(cycle, map(alpha.get, cycle))
             curves.append(tuple(cycle))
-            vectors.append(hom.project_chain(_curve_chain(base, cycle)))
+            classes.append(sum(map(dart_class.get, cycle)))
         c = len(curves) + len(diagram.free_loops)
-        subspace = Subspace.from_vectors(vectors, hom.dim)
+        subspace = _span(classes, hom.dim, spans)
+        a_count = sum(choices)
         yield ResolutionState(
             choices=choices,
             curves=tuple(curves),
@@ -269,8 +266,12 @@ def kauffman(diagram: LinkDiagram, cap: int = 20) -> LaurentPolynomial:
     Setting Z = d and dividing by d gives the classical bracket of the
     underlying virtual link.
     """
+    return _bracket_of(states(diagram, cap=cap))
+
+
+def _bracket_of(sts: Iterable[ResolutionState]) -> LaurentPolynomial:
     terms: dict[tuple[int, int, int, int], int] = {}
-    for st in states(diagram, cap=cap):
+    for st in sts:
         key = (st.alpha_count, st.beta_count, st.k, st.r)
         terms[key] = terms.get(key, 0) + 1
     return LaurentPolynomial(_KVARS, terms)
@@ -461,16 +462,8 @@ def tait_cycle_classes(
 ) -> Subspace:
     """V(H) of a Tait spanning subgraph, expressed in the diagram surface's
     H1 coordinates through the per-edge base chains."""
-    from .homology import fundamental_cycles
-
-    vectors = []
-    for cycle in fundamental_cycles(tait.graph, h_edges):
-        chain: Chain = {}
-        for e, coeff in cycle.items():
-            for be, bc in tait.edge_base_chain[e].items():
-                chain[be] = chain.get(be, Fraction(0)) + coeff * bc
-        vectors.append(hom.project_chain(chain))
-    return Subspace.from_vectors(vectors, hom.dim)
+    classes = {e: hom.project_chain(tait.edge_base_chain[e]) for e in h_edges}
+    return _cycle_span(_packed_edges(tait.map, classes, classes), hom.dim, {})[0]
 
 
 # -- the Thistlethwaite-type identity ---------------------------------------------
@@ -486,7 +479,8 @@ def verify_thistlethwaite(diagram: LinkDiagram, cap: int = 20) -> PolynomialRepo
     c = g_map.n_components
     e = g_map.n_edges
     n = e - v + c
-    k_poly = kauffman(diagram, cap=cap)
+    sts = list(states(diagram, cap=cap))
+    k_poly = _bracket_of(sts)
     p = p_bruteforce(tait.graph, cap=cap)
     mono = LaurentPolynomial.monomial
     bound = p.substitute(
@@ -511,7 +505,7 @@ def verify_thistlethwaite(diagram: LinkDiagram, cap: int = 20) -> PolynomialRepo
     subgraphs = scan(tait.graph, cap)
     eidx = {e_: i for i, e_ in enumerate(tait.graph.sorted_edges)}
     crossings = diagram.crossings
-    state_by_choice = {st.choices: st for st in states(diagram, cap=cap)}
+    state_by_choice = {st.choices: st for st in sts}
     ok_states = True
     witness = None
     for mask, inv in subgraphs:

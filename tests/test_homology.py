@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from surfpoly.errors import DimensionMismatch
+import surfpoly.homology as homology_module
+from surfpoly.corpus import alternating_diagrams, random_maps_of_genus
+from surfpoly.errors import DimensionMismatch, InternalInvariantError
 from surfpoly.homology import (
     Subspace,
     SurfaceHomology,
@@ -17,8 +20,10 @@ from surfpoly.homology import (
     tilde_p_specialized,
     verify_subgroup_duality,
 )
-from surfpoly.invariants import SubgraphScanner
-from surfpoly.maps import EmbeddedSubgraph, random_map
+from surfpoly.invariants import SubgraphScanner, scan
+from surfpoly.laurent import LaurentPolynomial
+from surfpoly.links import _curve_chain, states, tait_cycle_classes, tait_graph
+from surfpoly.maps import EmbeddedSubgraph, UnionFind, random_map
 from surfpoly.polynomials import p_bruteforce
 
 
@@ -183,3 +188,198 @@ def test_subgroup_duality_random():
     for _ in range(10):
         m = random_map(rng.randint(1, 5), rng)
         assert verify_subgroup_duality(m).all_passed
+
+
+# -- the per-chain Fraction route that per-edge integer classes replaced --------
+
+def reference_project(hom: SurfaceHomology, chain) -> tuple[Fraction, ...]:
+    """The retired reduction of one chain: its unit vector over the loops of
+    the contracted map, minus the boundary-RREF rows at its pivots, read off
+    at the free columns."""
+    vec = [Fraction(0)] * len(hom.loops)
+    for e, coeff in chain.items():
+        if e in hom.loop_index:
+            vec[hom.loop_index[e]] += Fraction(coeff)
+        elif e not in hom.forest:
+            raise InternalInvariantError(f"unknown edge {e} in chain")
+    for row, pc in zip(hom.boundary_rref, hom.boundary_pivots):
+        f = vec[pc]
+        if f:
+            for i in range(len(hom.loops)):
+                if row[i]:
+                    vec[i] -= f * row[i]
+    return tuple(vec[c] for c in hom.free_cols)
+
+
+def reference_fundamental_cycles(graph: EmbeddedSubgraph, h_edges):
+    """The retired fundamental cycles: root a spanning forest of H, then
+    close each non-forest edge through the two paths to the root."""
+    host = graph.host
+    h = sorted(set(h_edges))
+    parent = {v: None for v in graph.g_vertices}
+    uf = UnionFind(graph.g_vertices)
+    rest = []
+    adj = {v: [] for v in graph.g_vertices}
+    for e in h:
+        u, w = host.edge_endpoints(e)
+        if uf.find(u) != uf.find(w):
+            uf.union(u, w)
+            adj[u].append((w, e))
+            adj[w].append((u, e))
+        else:
+            rest.append(e)
+    depth = {}
+    for root in sorted(graph.g_vertices):
+        if root in depth:
+            continue
+        depth[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w, e in adj[v]:
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    parent[w] = (v, e, +1 if host.edge_endpoints(e)[0] == v else -1)
+                    stack.append(w)
+
+    def path_to_root(v):
+        chain = {}
+        while parent[v] is not None:
+            up, e, sign_down = parent[v]
+            chain[e] = chain.get(e, Fraction(0)) - sign_down
+            v = up
+        return chain
+
+    cycles = []
+    for e in rest:
+        u, w = host.edge_endpoints(e)
+        chain = {e: Fraction(1)}
+        for ee, c in path_to_root(w).items():
+            chain[ee] = chain.get(ee, Fraction(0)) + c
+        for ee, c in path_to_root(u).items():
+            chain[ee] = chain.get(ee, Fraction(0)) - c
+        cycles.append({ee: c for ee, c in chain.items() if c})
+    return cycles
+
+
+def reference_image(graph, h, hom):
+    cycles = reference_fundamental_cycles(graph, h)
+    v = Subspace.from_vectors([reference_project(hom, c) for c in cycles], hom.dim)
+    return v, len(cycles) - v.dim
+
+
+def reference_curves(diagram, choices):
+    """The retired state tracing: a union-find over darts per state, curves
+    in order of their orbits' least darts, each traced from that dart."""
+    base = diagram.base
+    tau = {}
+    for choice, v in zip(choices, diagram.crossings):
+        o1, o2 = sorted(diagram.over[v])
+        if choice:
+            pairs = ((o1, base.sigma[o1]), (o2, base.sigma[o2]))
+        else:
+            pairs = ((o1, base.sigma[o2]), (o2, base.sigma[o1]))
+        for x, y in pairs:
+            tau[x] = y
+            tau[y] = x
+    uf = UnionFind(base.darts)
+    for d in base.darts:
+        uf.union(d, base.alpha[d])
+        uf.union(d, tau[d])
+    orbits = {}
+    for d in base.darts:
+        orbits.setdefault(uf.find(d), set()).add(d)
+    curves = []
+    for _, orbit in sorted(orbits.items(), key=lambda kv: min(kv[1])):
+        start = min(orbit)
+        cycle = [start]
+        d = tau[base.alpha[start]]
+        while d != start:
+            cycle.append(d)
+            d = tau[base.alpha[d]]
+        curves.append(tuple(cycle))
+    return tuple(curves)
+
+
+def _maps_of_genus_0_to_3():
+    maps = []
+    for genus in range(4):
+        maps += random_maps_of_genus(4, genus, 9, seed=300 + genus, min_edges=2)
+    return maps
+
+
+def test_project_chain_matches_reference_reduction():
+    rng = random.Random(301)
+    maps = _maps_of_genus_0_to_3()
+    maps += [a.disjoint_union(b) for a, b in zip(maps[::2], maps[1::2])]
+    for m in maps:
+        hom = SurfaceHomology(m)
+        assert all(not any(hom.edge_class[e]) for e in hom.forest)
+        for _ in range(20):
+            chain = {}
+            for e in rng.sample(m.edge_ids, rng.randint(1, m.n_edges)):
+                if rng.random() < 0.3:
+                    chain[e] = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+                else:
+                    chain[e] = rng.choice([-2, -1, 1, 3, Fraction(-1), Fraction(2)])
+            assert hom.project_chain(chain) == reference_project(hom, chain)
+        with pytest.raises(InternalInvariantError):
+            hom.project_chain({max(m.darts) + 1: 1})
+
+
+def test_image_subspace_and_tilde_p_match_reference_route(maps_up_to_4):
+    maps = list(maps_up_to_4) + random_maps_of_genus(4, 2, 7, seed=302, min_edges=5)
+    for m in maps:
+        g = EmbeddedSubgraph.full(m)
+        hom = SurfaceHomology(m)
+        c_g = g.components_count()
+        grouped: dict = {}
+        for mask, inv in scan(g, 20):
+            h = [e for i, e in enumerate(g.sorted_edges) if mask >> i & 1]
+            assert fundamental_cycles(g, h) == reference_fundamental_cycles(g, h)
+            v, k = reference_image(g, h, hom)
+            assert image_subspace(g, h, hom) == (v, k)
+            grouped.setdefault(v, Counter())[(inv.c - c_g, k)] += 1
+        expected = sorted(
+            ((v, LaurentPolynomial(("X", "Y"), dict(b))) for v, b in grouped.items()),
+            key=lambda vp: (vp[0].dim, vp[0].basis),
+        )
+        assert tilde_p(g) == expected
+
+
+def test_states_and_tait_classes_match_reference_route():
+    diagrams = alternating_diagrams(5, 1, 6, seed=303) + alternating_diagrams(
+        4, 2, 7, seed=304, min_crossings=4
+    )
+    for d in diagrams:
+        hom = SurfaceHomology(d.surface_map)
+        tait = tait_graph(d)
+        for st in states(d):
+            assert st.curves == reference_curves(d, st.choices)
+            v = Subspace.from_vectors(
+                [reference_project(hom, _curve_chain(d.base, c)) for c in st.curves], hom.dim
+            )
+            assert (st.subspace, st.r, st.k) == (v, v.dim, st.c - v.dim)
+            h = [tait.crossing_edge[x] for x, chosen in zip(d.crossings, st.choices) if chosen]
+            pushed = []
+            for cycle in reference_fundamental_cycles(tait.graph, h):
+                chain: dict = {}
+                for e, coeff in cycle.items():
+                    for be, bc in tait.edge_base_chain[e].items():
+                        chain[be] = chain.get(be, Fraction(0)) + coeff * bc
+                pushed.append(reference_project(hom, chain))
+            assert tait_cycle_classes(d, tait, h, hom) == Subspace.from_vectors(pushed, hom.dim)
+
+
+def test_subgroup_duality_detects_swapped_dual_chains(tb2, monkeypatch):
+    real = homology_module.radial_map
+
+    def swapped(m):
+        radial, primal, dual = real(m)
+        a, b = sorted(dual)[:2]
+        return radial, primal, {**dual, a: dual[b], b: dual[a]}
+
+    monkeypatch.setattr(homology_module, "radial_map", swapped)
+    rep = verify_subgroup_duality(tb2)
+    assert not rep.all_passed
+    assert "mask=" in rep.verdicts[0].witness

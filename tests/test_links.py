@@ -319,3 +319,23 @@ def test_thistlethwaite_random_surfaces():
             continue
         assert verify_thistlethwaite(medial_diagram(m)).all_passed
         done += 1
+
+
+def test_thistlethwaite_sweeps_states_once(data_dir, monkeypatch):
+    import surfpoly.links as links_module
+
+    calls = []
+    real = links_module.states
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(links_module, "states", counted)
+    genus2 = next(
+        m for m in (random_map(n, random.Random(n)) for n in range(4, 40)) if m.total_genus == 2
+    )
+    for d in (parse_diagram((data_dir / "trefoil.vlk").read_text()), medial_diagram(genus2)):
+        calls.clear()
+        assert verify_thistlethwaite(d).all_passed
+        assert len(calls) == 1

@@ -1,6 +1,11 @@
 import random
+from collections import Counter
+from itertools import permutations, product
+from math import factorial, prod
 
 import pytest
+
+from surfpoly.corpus import all_maps
 
 from surfpoly.errors import (
     AlphaNotInvolution,
@@ -11,12 +16,14 @@ from surfpoly.errors import (
     MapFormatError,
 )
 from surfpoly.maps import (
+    CombinatorialMap,
     EmbeddedSubgraph,
     canonical_code,
     parse_map,
     parse_map_file,
     random_map,
     serialize_map,
+    standard_alpha,
 )
 
 
@@ -191,3 +198,53 @@ def test_empty_map():
     g = parse_map_file("sigma: ()\nalpha: ()\n")
     assert g.host.n_components == 0
     assert g.host.genus() == ([], 0)
+
+
+def reference_all_maps(max_edges):
+    """The retired enumeration: every rotation system, deduplicated by
+    canonical code."""
+    out = [CombinatorialMap({}, {})]
+    for m in range(1, max_edges + 1):
+        darts = list(range(1, 2 * m + 1))
+        seen = set()
+        for images in permutations(darts):
+            cm = CombinatorialMap(dict(zip(darts, images)), standard_alpha(m))
+            code = canonical_code(cm)
+            if code not in seen:
+                seen.add(code)
+                out.append(cm)
+    return out
+
+
+def _isomorphism_classes(m):
+    """Burnside: the number of conjugacy orbits of rotation systems on 2m
+    darts under the 2^m m! relabelings that commute with the pairing, as
+    the mean size of their centralizers in the symmetric group."""
+    total = 0
+    for order in permutations(range(m)):
+        for flips in product((0, 1), repeat=m):
+            psi = {}
+            for k, (i, f) in enumerate(zip(order, flips)):
+                psi[2 * k + 1], psi[2 * k + 2] = 2 * i + 1 + f, 2 * i + 2 - f
+            lengths = Counter()
+            seen = set()
+            for d in psi:
+                n = 0
+                while d not in seen:
+                    seen.add(d)
+                    d = psi[d]
+                    n += 1
+                if n:
+                    lengths[n] += 1
+            total += prod(k ** c * factorial(c) for k, c in lengths.items())
+    return total // (2 ** m * factorial(m))
+
+
+def test_all_maps_matches_canonical_code_dedupe():
+    assert all_maps(3) == reference_all_maps(3)
+    four = [m for m in all_maps(4) if m.n_edges == 4]
+    codes = {canonical_code(m) for m in four}
+    assert len(codes) == len(four) == _isomorphism_classes(4)
+    assert [_isomorphism_classes(m) for m in (1, 2, 3)] == [
+        sum(1 for x in all_maps(3) if x.n_edges == m) for m in (1, 2, 3)
+    ]
