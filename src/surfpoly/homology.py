@@ -148,17 +148,6 @@ class SymplecticSpace:
     dimension: int
     gram: tuple[tuple[int, ...], ...]
 
-    def pair(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        total = Fraction(0)
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            row = self.gram[i]
-            for j, vj in enumerate(v):
-                if vj and row[j]:
-                    total += ui * vj * row[j]
-        return total
-
 
 def orthogonal_complement(v: Subspace, sp: SymplecticSpace) -> Subspace:
     """Symplectic orthogonal complement within H1."""

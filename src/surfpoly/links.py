@@ -285,34 +285,21 @@ def classical_bracket(diagram: LinkDiagram, cap: int = 20) -> LaurentPolynomial:
 
 
 def tilde_kauffman(
-    diagram: LinkDiagram,
-    cap: int = 20,
-    writhe_prefactor: bool = False,
+    diagram: LinkDiagram, cap: int = 20
 ) -> list[tuple[Subspace, LaurentPolynomial]]:
     """Bracket with subgroup coefficients: groups states by the subspace
     i_*(H1(S)) of H1 of the surface; specializing [V] -> Z^dim V recovers
-    the four-variable bracket.  ``writhe_prefactor`` applies the Jones
-    substitution A -> 1/u, B -> u, d -> -u^2 - u^-2 and the (-1)^w u^{3w}
-    prefactor to every coefficient polynomial (exposed for inspection;
-    isotopy invariance of the result is untested).
+    the four-variable bracket.
     """
     grouped: dict[Subspace, dict[tuple[int, int, int], int]] = {}
     for st in states(diagram, cap=cap):
         key = (st.alpha_count, st.beta_count, st.k)
         bucket = grouped.setdefault(st.subspace, {})
         bucket[key] = bucket.get(key, 0) + 1
-    out = []
-    if writhe_prefactor:
-        w = diagram.writhe()
-        u = LaurentPolynomial.variable("u")
-        prefactor = LaurentPolynomial.monomial((-1) ** (w % 2), {"u": 3 * w})
-        jones_subs = {"A": u ** -1, "B": u, "d": -(u ** 2) - u ** -2}
-    for v in sorted(grouped, key=lambda s: (s.dim, s.basis)):
-        poly = LaurentPolynomial(("A", "B", "d"), grouped[v])
-        if writhe_prefactor:
-            poly = prefactor * poly.substitute(jones_subs)
-        out.append((v, poly))
-    return out
+    return [
+        (v, LaurentPolynomial(("A", "B", "d"), grouped[v]))
+        for v in sorted(grouped, key=lambda s: (s.dim, s.basis))
+    ]
 
 
 def jones(

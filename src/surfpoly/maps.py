@@ -343,10 +343,6 @@ class EmbeddedSubgraph:
     def sorted_edges(self) -> tuple[int, ...]:
         return tuple(sorted(self.g_edges))
 
-    @cached_property
-    def n_marked_vertices(self) -> int:
-        return len(self.g_vertices) + self.host.isolated_vertices
-
     def is_loop(self, e: int) -> bool:
         u, w = self.host.edge_endpoints(e)
         return u == w

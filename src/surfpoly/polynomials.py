@@ -5,11 +5,12 @@ host surface of total genus g:
 
     P(X,Y,A,B) = sum_H  X^(c(H)-c(G)) * Y^k(H) * A^(s(H)/2) * B^(s_perp(H)/2)
 
-Two evaluators are provided: a direct brute-force sum and a memoized
-contraction-deletion recursion (delete/contract on a non-loop non-bridge
-edge, strip bridges with a (1+X) factor, evaluate loops-only residues by
-direct summation).  The verifiers compute both sides of each published
-identity exactly and compare canonical forms.
+Two evaluators are provided: a direct sum over the histogram of subgraph
+invariants and a plain contraction-deletion recursion (on the lowest
+non-loop edge: a (1+X) factor for a bridge, delete plus contract
+otherwise, and the direct sum over a loops-only residue).  The verifiers
+compute both sides of each published identity exactly and compare
+canonical forms.
 """
 
 from __future__ import annotations
@@ -70,47 +71,18 @@ def p_bruteforce(
 
 
 def p_recursive(graph: EmbeddedSubgraph | CombinatorialMap) -> LaurentPolynomial:
-    """Contraction-deletion evaluator, memoized on the canonical code of the
-    (host, marked graph) state; agrees with p_bruteforce wherever both run."""
+    """Contraction-deletion on the lowest non-loop edge e: (1+X) P(G/e) for
+    a bridge, P(G-e) + P(G/e) otherwise, and the direct sum over a
+    loops-only residue; agrees with p_bruteforce wherever both run."""
     if isinstance(graph, CombinatorialMap):
         graph = EmbeddedSubgraph.full(graph)
-    memo: dict[bytes, LaurentPolynomial] = {}
-    one_plus_x = LaurentPolynomial.constant(1) + LaurentPolynomial.variable("X")
-    return _p_rec(graph, memo, one_plus_x)
-
-
-def _p_rec(
-    graph: EmbeddedSubgraph,
-    memo: dict[bytes, LaurentPolynomial],
-    one_plus_x: LaurentPolynomial,
-) -> LaurentPolynomial:
-    code = graph.canonical_code()
-    cached = memo.get(code)
-    if cached is not None:
-        return cached
-    edge = next(
-        (
-            e
-            for e in graph.sorted_edges
-            if not graph.is_loop(e) and e not in graph.bridges
-        ),
-        None,
-    )
-    if edge is not None:
-        value = _p_rec(graph.delete_edge(edge), memo, one_plus_x) + _p_rec(
-            graph.contract_edge(edge), memo, one_plus_x
-        )
-    else:
-        bridges = [e for e in graph.sorted_edges if not graph.is_loop(e)]
-        if bridges:
-            residue = graph
-            for e in bridges:
-                residue = residue.contract_edge(e)
-            value = (one_plus_x ** len(bridges)) * _p_rec(residue, memo, one_plus_x)
-        else:
-            value = p_bruteforce(graph, cap=None)
-    memo[code] = value
-    return value
+    edge = next((e for e in graph.sorted_edges if not graph.is_loop(e)), None)
+    if edge is None:
+        return p_bruteforce(graph, cap=None)
+    contracted = p_recursive(graph.contract_edge(edge))
+    if edge in graph.bridges:
+        return (1 + LaurentPolynomial.variable("X")) * contracted
+    return p_recursive(graph.delete_edge(edge)) + contracted
 
 
 # -- classical polynomials ----------------------------------------------------

@@ -4,11 +4,12 @@ import random
 import weakref
 
 import pytest
+from test_invariants import random_marking
 
 from surfpoly.errors import TooManyEdges
 from surfpoly.homology import SurfaceHomology
 from surfpoly.laurent import LaurentPolynomial as L
-from surfpoly.maps import EmbeddedSubgraph, random_map
+from surfpoly.maps import CombinatorialMap, EmbeddedSubgraph, random_map, serialize_map
 from surfpoly.polynomials import (
     abstract_graph,
     bollobas_riordan,
@@ -78,8 +79,34 @@ def test_p_recursive_matches_bruteforce_random():
         assert p_recursive(m) == p_bruteforce(m)
 
 
-def test_p_recursive_on_marked_subgraphs(fig2):
-    assert p_recursive(fig2) == p_bruteforce(fig2)
+def test_p_recursive_on_marked_subgraphs(fig2, sb):
+    # seeded markings with unmarked host edges, on hosts that may have
+    # isolated vertices or several components
+    rng = random.Random(59)
+    graphs = [fig2, EmbeddedSubgraph.full(sb.disjoint_union(random_map(3, rng)))]
+    for _ in range(80):
+        m = random_map(rng.randint(1, 7), rng)
+        if rng.random() < 0.3:
+            m = CombinatorialMap(dict(m.sigma), dict(m.alpha), rng.randint(1, 2))
+        if rng.random() < 0.3:
+            m = m.disjoint_union(random_map(rng.randint(1, 3), rng))
+        graphs.append(random_marking(m, rng))
+    seen = set()
+    for g in graphs:
+        non_loops = [e for e in g.sorted_edges if not g.is_loop(e)]
+        seen.update(
+            name
+            for name, hit in (
+                ("unmarked edge", len(g.g_edges) < g.host.n_edges),
+                ("isolated vertex", g.host.isolated_vertices > 0),
+                ("disconnected", len(g.host.dart_components) + g.host.isolated_vertices > 1),
+                ("lowest non-loop is a bridge", non_loops and non_loops[0] in g.bridges),
+                ("lowest non-loop is not a bridge", non_loops and non_loops[0] not in g.bridges),
+            )
+            if hit
+        )
+        assert p_recursive(g) == p_bruteforce(g), serialize_map(g.host)
+    assert len(seen) == 5, seen
 
 
 def test_contraction_deletion_rules():
