@@ -17,7 +17,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from .errors import NonLaurentResult, SurfPolyError
 from .homology import tilde_p, verify_subgroup_duality
-from .invariants import scan
+from .invariants import DEFAULT_CAP, scan
 from .links import (
     _jones_of,
     kauffman,
@@ -91,7 +91,7 @@ def _report_output(args, reports: list[tuple[str, PolynomialReport]]) -> int:
 def cmd_poly(args) -> int:
     graph = _load_graph(args.file)
     if args.recursive:
-        poly = p_recursive(graph)
+        poly = p_recursive(graph, cap=args.cap)
     else:
         poly = p_bruteforce(graph, cap=args.cap, threads=args.threads)
     s = poly.to_canonical_string()
@@ -318,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--cap", type=int, default=20, help="state-sum size cap (default 20)")
+    parser.add_argument(
+        "--cap", type=int, default=DEFAULT_CAP, help=f"state-sum size cap (default {DEFAULT_CAP})"
+    )
     parser.add_argument(
         "--threads",
         type=int,

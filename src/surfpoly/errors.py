@@ -51,7 +51,7 @@ class NonLaurentResult(SurfPolyError):
 
 
 class TooManyEdges(SurfPolyError):
-    """Edge count exceeds the brute-force cap; use the recursive evaluator."""
+    """Edge count exceeds the state-sum cap."""
 
 
 class TooManyCrossings(SurfPolyError):

@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, InternalInvariantError, RadicalNotBoundaries
-from .invariants import SubgraphScanner, scan
+from .invariants import DEFAULT_CAP, scan
 from .laurent import LaurentPolynomial
 from .maps import CombinatorialMap, EmbeddedSubgraph, UnionFind
 from .report import PolynomialReport, Verdict
@@ -193,9 +193,7 @@ class SurfaceHomology:
                 uf.union(u, w)
                 forest.append(e)
         self.forest = frozenset(forest)
-        reduced = m
-        for e in forest:
-            reduced = reduced.contract_edge(e)
+        reduced = m.contract(forest)
         self.reduced = reduced
         if reduced.vertex_cycles and any(
             len({reduced.vertex_of[d] for d in comp}) != 1
@@ -409,7 +407,7 @@ def image_subspace(
 # -- subgroup-coefficient polynomial ---------------------------------------------
 
 def tilde_p(
-    graph: EmbeddedSubgraph, cap: int = 20
+    graph: EmbeddedSubgraph, cap: int = DEFAULT_CAP
 ) -> list[tuple[Subspace, LaurentPolynomial]]:
     """The subgroup-coefficient refinement: sum over spanning H of
     [V(H)] * X^{c(H)-c(G)} * Y^{k(H)}, merged by equal subspace.
@@ -504,7 +502,7 @@ def radial_map(
     return radial, primal, dualc
 
 
-def verify_subgroup_duality(m: CombinatorialMap, cap: int = 20) -> PolynomialReport:
+def verify_subgroup_duality(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> PolynomialReport:
     """Check V(H*) = V(H)^perp (as canonical RREF matrices in the radial
     map's H1 coordinates) and the component/kernel exponent swaps, for every
     spanning subgraph of the cellulation m."""
@@ -515,9 +513,8 @@ def verify_subgroup_duality(m: CombinatorialMap, cap: int = 20) -> PolynomialRep
     hom = SurfaceHomology(radial)
     g_dual = EmbeddedSubgraph.full(dual_m)
     # dual edges keep their ids, so H* = the duals of the edges not in H
-    # is the mask complement in the dual scanner
-    dual_sc = SubgraphScanner(g_dual)
-    dual_codes = dual_sc.codes()
+    # is the mask complement in the dual sweep
+    dual_invs = [inv for _, inv in scan(g_dual, cap)]
     edges = g_full.sorted_edges
     full = (1 << len(edges)) - 1
     primal = _packed_edges(m, {e: hom.project_chain(c) for e, c in primal_chain.items()}, edges)
@@ -536,7 +533,7 @@ def verify_subgroup_duality(m: CombinatorialMap, cap: int = 20) -> PolynomialRep
         if perp is None:
             perp = orthogonal_complement(v_h, hom.form)
             perp = perps[v_h] = spans.setdefault(perp, perp)
-        inv_hs = dual_sc.decode(dual_codes[full ^ mask])
+        inv_hs = dual_invs[full ^ mask]
         if (
             v_hs != perp
             or v_h.dim + v_hs.dim != hom.dim

@@ -60,19 +60,8 @@ class LaurentPolynomial:
     def terms(self) -> dict[tuple[int, ...], int]:
         return dict(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
-
-    def constant_value(self) -> int:
-        """Value of a constant polynomial (zero or a single degree-0 term)."""
-        if not self._terms:
-            return 0
-        if self._vars or set(self._terms) != {()}:
-            raise ValueError(f"{self} is not constant")
-        return self._terms[()]
 
     # -- ring operations -------------------------------------------------------
 

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .homology import Chain, Subspace, SurfaceHomology, radial_map
 from .homology import _cycle_span, _pack, _packed_edges, _span
-from .invariants import scan
+from .invariants import DEFAULT_CAP, scan
 from .laurent import LaurentPolynomial
 from .maps import (
     CombinatorialMap,
@@ -206,7 +206,7 @@ def _curve_chain(m: CombinatorialMap, darts: Iterable[int]) -> Chain:
     return {e: c for e, c in chain.items() if c}
 
 
-def states(diagram: LinkDiagram, cap: int = 20) -> Iterator[ResolutionState]:
+def states(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[ResolutionState]:
     """All 2^n resolutions with curve counts and homology ranks."""
     n = diagram.n_crossings
     if cap is not None and n > cap:
@@ -260,7 +260,7 @@ def states(diagram: LinkDiagram, cap: int = 20) -> Iterator[ResolutionState]:
         )
 
 
-def kauffman(diagram: LinkDiagram, cap: int = 20) -> LaurentPolynomial:
+def kauffman(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> LaurentPolynomial:
     """Four-variable bracket: sum over states of A^a B^b d^k Z^r.
 
     Setting Z = d and dividing by d gives the classical bracket of the
@@ -277,7 +277,7 @@ def _bracket_of(sts: Iterable[ResolutionState]) -> LaurentPolynomial:
     return LaurentPolynomial(_KVARS, terms)
 
 
-def classical_bracket(diagram: LinkDiagram, cap: int = 20) -> LaurentPolynomial:
+def classical_bracket(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> LaurentPolynomial:
     """d^-1 K(A, B, d, d): the classical (virtual) Kauffman bracket."""
     k = kauffman(diagram, cap=cap)
     dvar = LaurentPolynomial.variable("d")
@@ -285,7 +285,7 @@ def classical_bracket(diagram: LinkDiagram, cap: int = 20) -> LaurentPolynomial:
 
 
 def tilde_kauffman(
-    diagram: LinkDiagram, cap: int = 20
+    diagram: LinkDiagram, cap: int = DEFAULT_CAP
 ) -> list[tuple[Subspace, LaurentPolynomial]]:
     """Bracket with subgroup coefficients: groups states by the subspace
     i_*(H1(S)) of H1 of the surface; specializing [V] -> Z^dim V recovers
@@ -303,7 +303,7 @@ def tilde_kauffman(
 
 
 def jones(
-    diagram: LinkDiagram, cap: int = 20, normalized: bool = True
+    diagram: LinkDiagram, cap: int = DEFAULT_CAP, normalized: bool = True
 ) -> LaurentPolynomial:
     """Two-variable Jones polynomial in u (t = u^4) and Z:
 
@@ -455,7 +455,7 @@ def tait_cycle_classes(
 
 # -- the Thistlethwaite-type identity ---------------------------------------------
 
-def verify_thistlethwaite(diagram: LinkDiagram, cap: int = 20) -> PolynomialReport:
+def verify_thistlethwaite(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> PolynomialReport:
     """K_D(A,B,d,Z) = A^(g+v-c) B^(n-g) d^c Z^g P_G(Bd/A, Ad/B, A/(BZ), B/(AZ))
     for the Tait graph G, plus the per-state proof correspondences
     alpha(S(H)) = e(H), c(S) = bc(H), k(S) = c(H)+k(H), r(S) = l(H)."""

@@ -65,9 +65,6 @@ class UnionFind:
     def __init__(self, elements: Iterable = ()):
         self.parent = {x: x for x in elements}
 
-    def add(self, x) -> None:
-        self.parent.setdefault(x, x)
-
     def find(self, x):
         p = self.parent
         root = x
@@ -154,9 +151,6 @@ class CombinatorialMap:
     def face_ids(self) -> tuple[int, ...]:
         return tuple(cyc[0] for cyc in self.face_cycles)
 
-    def edge_darts(self, e: int) -> tuple[int, int]:
-        return (e, self.alpha[e])
-
     def edge_endpoints(self, e: int) -> tuple[int, int]:
         """(tail, head) vertex ids; tail is the vertex of the smaller dart."""
         return (self.vertex_of[e], self.vertex_of[self.alpha[e]])
@@ -229,43 +223,34 @@ class CombinatorialMap:
         phi = {d: self.phi(d) for d in self.sigma}
         return CombinatorialMap(phi, dict(self.alpha), self.isolated_vertices)
 
-    def contract_edge(self, e: int) -> "CombinatorialMap":
-        """Contract a non-loop edge, splicing the two vertex rotations.
+    def contract(self, forest: Iterable[int]) -> "CombinatorialMap":
+        """Contract a forest of edges in one pass.
 
-        The surface is unchanged (v and e both drop by one, faces are
-        preserved).  If both endpoints had degree one the merged vertex
-        becomes isolated.
+        Each surviving dart's new rotation successor is its old one, with
+        contracted darts skipped along sigma∘alpha.  The surface is
+        unchanged (v and e drop together, faces are preserved); a tree
+        that keeps no dart becomes an isolated vertex.
         """
-        if e not in set(self.edge_ids):
-            raise EdgeNotInGraph(f"edge {e} not in map")
-        d1, d2 = e, self.alpha[e]
-        if self.vertex_of[d1] == self.vertex_of[d2]:
-            raise LoopContraction(f"edge {e} is a loop")
-        cyc_u = self._cycle_from(d1)
-        cyc_w = self._cycle_from(d2)
-        merged = cyc_u[1:] + cyc_w[1:]
-        sigma = dict(self.sigma)
-        alpha = dict(self.alpha)
-        for d in (d1, d2):
-            del alpha[d]
-        for cyc in (cyc_u, cyc_w):
-            for d in cyc:
-                del sigma[d]
-        iso = self.isolated_vertices
-        if merged:
-            for i, d in enumerate(merged):
-                sigma[d] = merged[(i + 1) % len(merged)]
-        else:
-            iso += 1
-        return CombinatorialMap(sigma, alpha, iso)
-
-    def _cycle_from(self, d: int) -> list[int]:
-        cyc = [d]
-        x = self.sigma[d]
-        while x != d:
-            cyc.append(x)
-            x = self.sigma[x]
-        return cyc
+        uf, gone = UnionFind(self.vertex_ids), set()
+        for e in forest:
+            if e not in self.alpha or self.alpha[e] < e:
+                raise EdgeNotInGraph(f"edge {e} not in map")
+            u, w = self.edge_endpoints(e)
+            if uf.find(u) == uf.find(w):
+                raise LoopContraction(f"edge {e} closes a cycle")
+            uf.union(u, w)
+            gone.update((e, self.alpha[e]))
+        sigma = {}
+        for d, x in self.sigma.items():
+            if d not in gone:
+                while x in gone:
+                    x = self.sigma[self.alpha[x]]
+                sigma[d] = x
+        trees = {uf.find(self.vertex_of[d]) for d in gone}
+        trees.difference_update(uf.find(self.vertex_of[d]) for d in sigma)
+        return CombinatorialMap(
+            sigma, {d: self.alpha[d] for d in sigma}, self.isolated_vertices + len(trees)
+        )
 
     def relabeled(self, mapping: Mapping[int, int]) -> "CombinatorialMap":
         sigma = {mapping[d]: mapping[v] for d, v in self.sigma.items()}
@@ -347,23 +332,6 @@ class EmbeddedSubgraph:
         u, w = self.host.edge_endpoints(e)
         return u == w
 
-    @cached_property
-    def bridges(self) -> frozenset[int]:
-        """Edges of the marked graph whose removal raises its component count."""
-        out = set()
-        for e in self.g_edges:
-            if self.is_loop(e):
-                continue
-            uf = UnionFind(self.g_vertices)
-            for e2 in self.g_edges:
-                if e2 != e:
-                    u, w = self.host.edge_endpoints(e2)
-                    uf.union(u, w)
-            u, w = self.host.edge_endpoints(e)
-            if uf.find(u) != uf.find(w):
-                out.add(e)
-        return frozenset(out)
-
     def components_count(self, edges: Iterable[int] | None = None) -> int:
         """Components of the spanning subgraph on the given edges (all marked
         edges by default), isolated host vertices included."""
@@ -385,13 +353,8 @@ class EmbeddedSubgraph:
             raise EdgeNotInGraph(f"edge {e} not in marked graph")
         if self.is_loop(e):
             raise LoopContraction(f"edge {e} is a loop")
-        u, w = self.host.edge_endpoints(e)
-        d1, d2 = self.host.edge_darts(e)
-        merged = self.host._cycle_from(d1)[1:] + self.host._cycle_from(d2)[1:]
-        host = self.host.contract_edge(e)
-        vids = set(self.g_vertices) - {u, w}
-        if merged:
-            vids.add(min(merged))  # id of the spliced vertex
+        old, host = self.host, self.host.contract((e,))
+        vids = {host.vertex_of[d] for d in host.sigma if old.vertex_of[d] in self.g_vertices}
         return EmbeddedSubgraph(host, frozenset(vids), self.g_edges - {e})
 
     # -- canonical codes ---------------------------------------------------

@@ -15,8 +15,9 @@ from typing import Mapping
 
 from .errors import MapFormatError
 from .laurent import LaurentPolynomial
-from .invariants import scan
+from .invariants import DEFAULT_CAP, scan
 from .maps import CombinatorialMap, EmbeddedSubgraph
+from .polynomials import _witness
 from .report import PolynomialReport, Verdict
 
 RESERVED_NAMES = frozenset("q A B X Y Z d u t x y".split())
@@ -97,7 +98,7 @@ class EdgeWeighting:
 def p_bar(
     graph: EmbeddedSubgraph | CombinatorialMap,
     weighting: EdgeWeighting | None = None,
-    cap: int = 20,
+    cap: int = DEFAULT_CAP,
 ) -> LaurentPolynomial:
     """The edge-weighted state sum over all spanning subgraphs."""
     if isinstance(graph, CombinatorialMap):
@@ -141,7 +142,7 @@ def p_bar(
 def multivariate_tutte(
     graph: EmbeddedSubgraph | CombinatorialMap,
     weighting: EdgeWeighting | None = None,
-    cap: int = 20,
+    cap: int = DEFAULT_CAP,
 ) -> LaurentPolynomial:
     """Z_G(q, v): the A = B = 1 specialization."""
     return p_bar(graph, weighting, cap=cap).substitute({"A": 1, "B": 1})
@@ -150,13 +151,11 @@ def multivariate_tutte(
 def verify_multivariate_duality(
     m: CombinatorialMap,
     weighting: EdgeWeighting | None = None,
-    cap: int = 20,
+    cap: int = DEFAULT_CAP,
 ) -> PolynomialReport:
     """Pbar_{G*}(q, v, A, B) = q^(c(G*) - v(G) - g) * (prod v_e)
     * Pbar_G(q, q/v, B/q, A q), with the classical planar relation recovered
     at genus zero and A = B = 1."""
-    from .maps import serialize_map
-
     graph = EmbeddedSubgraph.full(m)
     weighting = weighting or EdgeWeighting(graph)
     dual = m.dual()
@@ -171,7 +170,7 @@ def verify_multivariate_duality(
     prefactor = (q ** (dual.n_components - m.n_vertices - g)) * weighting.product()
     rhs = prefactor * inner.substitute({"A": b * q ** -1, "B": a * q})
     ok = lhs == rhs
-    witness = None if ok else serialize_map(m, canonical=True).replace("\n", "; ")
+    witness = None if ok else _witness(m)
     verdicts = [Verdict("multivariate duality Pbar_G* = q^(c*-v-g) (prod v) Pbar_G(q, q/v, B/q, Aq)", ok, witness)]
 
     if g == 0:
@@ -184,7 +183,7 @@ def verify_multivariate_duality(
             Verdict(
                 "planar relation Z_G* = q^(c(G*)-v(G)) (prod v) Z_G(q, q/v)",
                 ok2,
-                None if ok2 else serialize_map(m, canonical=True).replace("\n", "; "),
+                None if ok2 else _witness(m),
             )
         )
     return PolynomialReport(

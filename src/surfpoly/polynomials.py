@@ -70,19 +70,24 @@ def p_bruteforce(
     return _p_of(histogram(graph, cap, threads))
 
 
-def p_recursive(graph: EmbeddedSubgraph | CombinatorialMap) -> LaurentPolynomial:
-    """Contraction-deletion on the lowest non-loop edge e: (1+X) P(G/e) for
-    a bridge, P(G-e) + P(G/e) otherwise, and the direct sum over a
-    loops-only residue; agrees with p_bruteforce wherever both run."""
+def p_recursive(
+    graph: EmbeddedSubgraph | CombinatorialMap, cap: int = DEFAULT_CAP
+) -> LaurentPolynomial:
+    """Contraction-deletion on the lowest non-loop edge e: (1+X) P(G/e) when
+    deleting e raises the component count (a bridge), P(G-e) + P(G/e)
+    otherwise, and the direct sum over a loops-only residue; agrees with
+    p_bruteforce wherever both run.  More than ``cap`` edges are refused on
+    entry; a residue is never larger than its input, so it is not capped."""
     if isinstance(graph, CombinatorialMap):
         graph = EmbeddedSubgraph.full(graph)
+    check_cap(len(graph.sorted_edges), cap)
     edge = next((e for e in graph.sorted_edges if not graph.is_loop(e)), None)
     if edge is None:
         return p_bruteforce(graph, cap=None)
-    contracted = p_recursive(graph.contract_edge(edge))
-    if edge in graph.bridges:
+    contracted = p_recursive(graph.contract_edge(edge), cap)
+    if graph.components_count(graph.g_edges - {edge}) > graph.components_count():
         return (1 + LaurentPolynomial.variable("X")) * contracted
-    return p_recursive(graph.delete_edge(edge)) + contracted
+    return p_recursive(graph.delete_edge(edge), cap) + contracted
 
 
 # -- classical polynomials ----------------------------------------------------

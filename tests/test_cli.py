@@ -161,6 +161,7 @@ def test_error_exit_codes(capsys, tmp_path):
     "argv",
     [
         ["poly"],
+        ["poly", "--recursive"],
         ["tutte"],
         ["br"],
         ["pprime"],

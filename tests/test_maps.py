@@ -6,6 +6,7 @@ from math import factorial, prod
 import pytest
 
 from surfpoly.corpus import all_maps
+from test_invariants import random_marking
 
 from surfpoly.errors import (
     AlphaNotInvolution,
@@ -23,6 +24,7 @@ from surfpoly.maps import (
     parse_map_file,
     random_map,
     serialize_map,
+    UnionFind,
     standard_alpha,
 )
 
@@ -130,6 +132,131 @@ def test_contraction_preserves_genus_random():
         assert g2.host.total_genus == m.total_genus
         assert g2.host.n_faces == m.n_faces
         checked += 1
+
+
+def reference_contract_edge(m, e):
+    """The retired single-edge contraction: splice the two vertex rotations
+    of a non-loop edge into one."""
+
+    def cycle_from(d):
+        cyc = [d]
+        x = m.sigma[d]
+        while x != d:
+            cyc.append(x)
+            x = m.sigma[x]
+        return cyc
+
+    d1, d2 = e, m.alpha[e]
+    cyc_u, cyc_w = cycle_from(d1), cycle_from(d2)
+    merged = cyc_u[1:] + cyc_w[1:]
+    sigma = {d: x for d, x in m.sigma.items() if d not in cyc_u and d not in cyc_w}
+    alpha = {d: x for d, x in m.alpha.items() if d not in (d1, d2)}
+    for i, d in enumerate(merged):
+        sigma[d] = merged[(i + 1) % len(merged)]
+    return CombinatorialMap(sigma, alpha, m.isolated_vertices + (not merged))
+
+
+def bridges(g):
+    """Marked non-loop edges whose removal raises the component count, one
+    union-find per edge (the retired ``EmbeddedSubgraph.bridges``)."""
+    out = set()
+    for e in g.g_edges:
+        if g.is_loop(e):
+            continue
+        uf = UnionFind(g.g_vertices)
+        for e2 in g.g_edges - {e}:
+            uf.union(*g.host.edge_endpoints(e2))
+        u, w = g.host.edge_endpoints(e)
+        if uf.find(u) != uf.find(w):
+            out.add(e)
+    return frozenset(out)
+
+
+def random_forest(m, rng):
+    """Some edges of m, in random order, that close no cycle."""
+    uf = UnionFind(m.vertex_ids)
+    forest = []
+    for e in rng.sample(m.edge_ids, len(m.edge_ids)):
+        u, w = (uf.find(v) for v in m.edge_endpoints(e))
+        if u != w and rng.random() < 0.7:
+            uf.union(u, w)
+            forest.append(e)
+    return forest
+
+
+def assert_contract_matches_reference(m, forest):
+    expected = m
+    for e in forest:  # edge ids survive contraction
+        expected = reference_contract_edge(expected, e)
+    got = m.contract(forest)
+    assert got == expected, (serialize_map(m), forest)
+    return got
+
+
+def test_contract_matches_sequential_splices_up_to_4_edges(maps_up_to_4):
+    rng = random.Random(41)
+    for m in maps_up_to_4:
+        for _ in range(3):
+            assert_contract_matches_reference(m, random_forest(m, rng))
+
+
+def test_contract_matches_sequential_splices_random():
+    # hosts with isolated vertices and several components; counts the
+    # forests that leave a whole tree without darts
+    rng = random.Random(43)
+    new_isolated = 0
+    for _ in range(400):
+        m = random_map(rng.randint(1, 14), rng)
+        if rng.random() < 0.3:
+            m = CombinatorialMap(dict(m.sigma), dict(m.alpha), rng.randint(1, 2))
+        if rng.random() < 0.3:
+            m = m.disjoint_union(random_map(rng.randint(1, 3), rng))
+        forest = random_forest(m, rng)
+        got = assert_contract_matches_reference(m, forest)
+        new_isolated += got.isolated_vertices > m.isolated_vertices
+        assert got.total_genus == m.total_genus
+        assert got.n_vertices == m.n_vertices - len(forest)
+    assert new_isolated > 10
+
+
+def test_contract_edge_keeps_marks():
+    rng = random.Random(47)
+    checked = 0
+    for _ in range(300):
+        m = random_map(rng.randint(1, 9), rng)
+        if rng.random() < 0.3:
+            m = CombinatorialMap(dict(m.sigma), dict(m.alpha), rng.randint(1, 2))
+        g = random_marking(m, rng)
+        for e in g.sorted_edges:
+            if g.is_loop(e):
+                continue
+            u, w = m.edge_endpoints(e)
+            spliced = [d for d in m.sigma if m.vertex_of[d] in (u, w) and d not in (e, m.alpha[e])]
+            marks = set(g.g_vertices - {u, w})
+            if spliced:
+                marks.add(min(spliced))  # id of the spliced vertex
+            assert g.contract_edge(e) == EmbeddedSubgraph(
+                reference_contract_edge(m, e), frozenset(marks), g.g_edges - {e}
+            ), (serialize_map(g), e)
+            checked += 1
+    assert checked > 250
+
+
+def test_contract_rejects_unknown_edges_and_cycles(tb2, theta):
+    for m, forest in ((tb2, [2]), (tb2, [99]), (theta, [theta.edge_ids[0], 99])):
+        with pytest.raises(EdgeNotInGraph):
+            m.contract(forest)
+    with pytest.raises(LoopContraction):
+        tb2.contract([1])
+    with pytest.raises(LoopContraction):
+        theta.contract(theta.edge_ids[:2])
+    e = theta.edge_ids[0]
+    with pytest.raises(LoopContraction):
+        theta.contract([e, e])
+    assert theta.contract([]) == theta
+    partial = EmbeddedSubgraph(theta, frozenset(theta.vertex_ids), frozenset(theta.edge_ids[1:]))
+    with pytest.raises(EdgeNotInGraph):
+        partial.contract_edge(e)
 
 
 def test_canonical_code_isomorphism_invariance(tb2, sl):
