@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -93,7 +92,7 @@ def cmd_poly(args) -> int:
     if args.recursive:
         poly = p_recursive(graph, cap=args.cap)
     else:
-        poly = p_bruteforce(graph, cap=args.cap, threads=args.threads)
+        poly = p_bruteforce(graph, cap=args.cap)
     s = poly.to_canonical_string()
     _emit(args, {"poly": s}, [s])
     return 0
@@ -324,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes for brute-force sums (engaged on large inputs)",
+        default=1,
+        help="no effect; accepted so that existing scripts still run",
     )
     parser.add_argument("--seed", type=int, default=2024, help="corpus seed")
     sub = parser.add_subparsers(dest="command", required=True)

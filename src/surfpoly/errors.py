@@ -54,6 +54,10 @@ class TooManyEdges(SurfPolyError):
     """Edge count exceeds the state-sum cap."""
 
 
+class TooManyStates(SurfPolyError):
+    """The frontier DP of a state sum needs more states than its limit."""
+
+
 class TooManyCrossings(SurfPolyError):
     """Crossing count exceeds the state-sum cap."""
 

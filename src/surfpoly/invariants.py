@@ -19,25 +19,30 @@ k + l + s = n; the independent linear-algebra computation lives in
 
 Every state sum over the 2^e spanning subgraphs goes through the engine at
 the end of this module: :func:`scan` yields each subgraph with its
-invariants, and :func:`histogram` counts the invariant tuples, from which
-P, BR and P' are read off as projections.  The engine owns the size cap and
-the optional process-pool split.
+invariants from a depth-first sweep of all 2^e masks, and :func:`histogram`
+counts the invariant tuples with a frontier (transfer-matrix) DP that never
+visits a mask; P, BR and P' are read off that count as projections.  The
+engine owns the size cap and the DP's state limit.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Iterator
 
-from .errors import InternalInvariantError, NotCellulation, NotSpanning, TooManyEdges
+from .errors import (
+    InternalInvariantError,
+    NotCellulation,
+    NotSpanning,
+    TooManyEdges,
+    TooManyStates,
+)
 from .maps import CombinatorialMap, EmbeddedSubgraph
 
 DEFAULT_CAP = 20
-_PARALLEL_THRESHOLD = 1 << 17  # the pool beats one process from 17 edges on 2 CPUs
+MAX_STATES = 1 << 17  # frontier partitions per DP step; well past this memory runs out
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,84 @@ class SubgraphScanner:
             out.append(code)
         return out
 
+    def code_counts(self) -> dict[int, int]:
+        """How many subgraphs have each code: ``Counter(self.codes())``,
+        built one marked edge at a time without visiting a mask (the
+        transfer-matrix method of Sekine, Imai and Tani, ISAAC 1995).
+
+        The DP runs on the classes of ``base``, so links inside one class
+        are dropped.  Edges go in greedy order, each next the one sharing
+        most classes with those done (lowest index on ties).  The frontier
+        is the classes that both a done and a later edge touch; a state is
+        their partition, each position holding the first position of its
+        block, and it carries a dict from partial code to count.  A step
+        applies the edge's out or in links to a copy of the state's
+        union-find, adds the merge weights (and 1 for in), and drops the
+        classes no later edge touches.  One state, the empty one, remains.
+        """
+        base = self.base
+
+        def lift(links: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+            lifted = []
+            for a, b, weight in links:
+                while base[a] != a:
+                    a = base[a]
+                while base[b] != b:
+                    b = base[b]
+                if a != b:
+                    lifted.append((a, b, weight))
+            return lifted
+
+        todo = {i: (lift(self.outs[i]), lift(self.ins[i])) for i in range(len(self.edges))}
+        touch = {
+            i: {x for links in pair for a, b, _ in links for x in (a, b)} for i, pair in todo.items()
+        }
+        order, done = [], set()
+        while todo:
+            i = max(todo, key=lambda j: len(touch[j] & done))  # first max: lowest index
+            order.append((i, *todo.pop(i)))
+            done |= touch[i]
+        last = {x: t for t, (i, _, _) in enumerate(order) for x in touch[i]}
+
+        states = {(): {self.base_code: 1}}
+        frontier: list[int] = []
+        for t, (i, outs, ins) in enumerate(order):
+            pos = {x: p for p, x in enumerate(frontier)}
+            for x in sorted(touch[i]):
+                pos.setdefault(x, len(pos))
+            branches = [
+                ([(pos[a], pos[b], w) for a, b, w in outs], 0),
+                ([(pos[a], pos[b], w) for a, b, w in ins], 1),
+            ]
+            keep = [p for p, x in enumerate(pos) if last[x] > t]
+            fresh = range(len(frontier), len(pos))
+            frontier = [x for x in pos if last[x] > t]
+            nxt: dict[tuple[int, ...], dict[int, int]] = {}
+            for state, counts in states.items():
+                for links, plus in branches:
+                    parent = [*state, *fresh]
+                    gained = plus + _link(parent, links)
+                    first = {}
+                    key = []
+                    for j, p in enumerate(keep):
+                        while parent[p] != p:
+                            p = parent[p]
+                        key.append(first.setdefault(p, j))
+                    key = tuple(key)
+                    into = nxt.get(key)
+                    if into is None:
+                        if len(nxt) == MAX_STATES:
+                            raise TooManyStates(
+                                f"frontier DP needs more than {MAX_STATES} states at edge "
+                                f"{t + 1} of {len(order)}"
+                            )
+                        nxt[key] = {code + gained: cnt for code, cnt in counts.items()}
+                    else:
+                        for code, cnt in counts.items():
+                            into[code + gained] = into.get(code + gained, 0) + cnt
+            states = nxt
+        return states[()]
+
     def decode(self, code: int) -> SubgraphInvariants:
         """Invariants of the subgraph with this code, range-checked."""
         fields = []
@@ -225,31 +308,13 @@ def scan(
     return enumerate(map(decoded.__getitem__, codes))
 
 
-def _count(graph: EmbeddedSubgraph, prefix: int, depth: int) -> Counter:
-    return Counter(SubgraphScanner(graph).codes(prefix, depth))
-
-
-def histogram(
-    graph: EmbeddedSubgraph, cap: int | None = DEFAULT_CAP, threads: int = 1
-) -> Counter:
-    """How many spanning subgraphs of ``graph`` have each invariant tuple.
-
-    With ``threads`` > 1 on large inputs the sweep is split on the top mask
-    bits, one subtree per chunk, over a process pool; the counts, and so
-    every projection, are the same as the sequential ones.
-    """
-    n = len(graph.sorted_edges)
-    check_cap(n, cap)
+def histogram(graph: EmbeddedSubgraph, cap: int | None = DEFAULT_CAP) -> Counter:
+    """How many spanning subgraphs of ``graph`` have each invariant tuple,
+    counted by the frontier DP of :meth:`SubgraphScanner.code_counts`;
+    raises :class:`TooManyStates` past ``MAX_STATES`` frontier states."""
+    check_cap(len(graph.sorted_edges), cap)
     sc = SubgraphScanner(graph)
-    if threads < 2 or 1 << n < _PARALLEL_THRESHOLD:
-        counts = Counter(sc.codes())
-    else:
-        depth = min(n, (4 * threads - 1).bit_length())  # 2^depth >= 4 * threads chunks
-        counts = Counter()
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_count, repeat(graph), range(1 << depth), repeat(depth)):
-                counts.update(part)
-    return Counter({sc.decode(code): cnt for code, cnt in counts.items()})
+    return Counter({sc.decode(code): cnt for code, cnt in sc.code_counts().items()})
 
 
 def invariants(graph: EmbeddedSubgraph, h_edges: Iterable[int]) -> SubgraphInvariants:

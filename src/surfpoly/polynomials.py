@@ -5,12 +5,12 @@ host surface of total genus g:
 
     P(X,Y,A,B) = sum_H  X^(c(H)-c(G)) * Y^k(H) * A^(s(H)/2) * B^(s_perp(H)/2)
 
-Two evaluators are provided: a direct sum over the histogram of subgraph
-invariants and a plain contraction-deletion recursion (on the lowest
-non-loop edge: a (1+X) factor for a bridge, delete plus contract
-otherwise, and the direct sum over a loops-only residue).  The verifiers
-compute both sides of each published identity exactly and compare
-canonical forms.
+Two evaluators are provided: a projection of the histogram of subgraph
+invariants, which the engine counts with a frontier DP edge by edge, and a
+plain contraction-deletion recursion (on the lowest non-loop edge: a (1+X)
+factor for a bridge, delete plus contract otherwise, and the histogram of
+a loops-only residue).  The verifiers compute both sides of each published
+identity exactly and compare canonical forms.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 from .invariants import DEFAULT_CAP, SubgraphInvariants, check_cap, histogram
 from .laurent import LaurentPolynomial
-from .maps import CombinatorialMap, EmbeddedSubgraph
+from .maps import CombinatorialMap, EmbeddedSubgraph, UnionFind
 from .report import PolynomialReport, Verdict
 
 _PVARS = ("X", "Y", "A", "B")
@@ -60,14 +60,13 @@ def _p_prime_of(hist: Counter) -> LaurentPolynomial:
 
 
 def p_bruteforce(
-    graph: EmbeddedSubgraph | CombinatorialMap,
-    cap: int = DEFAULT_CAP,
-    threads: int = 1,
+    graph: EmbeddedSubgraph | CombinatorialMap, cap: int = DEFAULT_CAP
 ) -> LaurentPolynomial:
-    """Direct state sum over all 2^e spanning subgraphs."""
+    """The state sum over all 2^e spanning subgraphs, read off the invariant
+    histogram, which the frontier DP counts edge by edge."""
     if isinstance(graph, CombinatorialMap):
         graph = EmbeddedSubgraph.full(graph)
-    return _p_of(histogram(graph, cap, threads))
+    return _p_of(histogram(graph, cap))
 
 
 def p_recursive(
@@ -75,7 +74,7 @@ def p_recursive(
 ) -> LaurentPolynomial:
     """Contraction-deletion on the lowest non-loop edge e: (1+X) P(G/e) when
     deleting e raises the component count (a bridge), P(G-e) + P(G/e)
-    otherwise, and the direct sum over a loops-only residue; agrees with
+    otherwise, and p_bruteforce on a loops-only residue; agrees with
     p_bruteforce wherever both run.  More than ``cap`` edges are refused on
     entry; a residue is never larger than its input, so it is not capped."""
     if isinstance(graph, CombinatorialMap):
@@ -85,7 +84,11 @@ def p_recursive(
     if edge is None:
         return p_bruteforce(graph, cap=None)
     contracted = p_recursive(graph.contract_edge(edge), cap)
-    if graph.components_count(graph.g_edges - {edge}) > graph.components_count():
+    rest = UnionFind(graph.g_vertices)  # G - e
+    for f in graph.g_edges - {edge}:
+        rest.union(*graph.host.edge_endpoints(f))
+    u, w = graph.host.edge_endpoints(edge)
+    if rest.find(u) != rest.find(w):  # a bridge
         return (1 + LaurentPolynomial.variable("X")) * contracted
     return p_recursive(graph.delete_edge(edge), cap) + contracted
 

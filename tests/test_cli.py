@@ -185,6 +185,16 @@ def test_cap_refuses_large_maps(capsys, tmp_path, argv):
     assert code == 2 and "error:" in err and out == ""
 
 
+def test_frontier_state_limit_exits_2(capsys, monkeypatch, data_dir):
+    # the package attribute ``surfpoly.invariants`` is the function of that
+    # name, so the module is fetched by its full name
+    engine = importlib.import_module("surfpoly.invariants")
+    monkeypatch.setattr(engine, "MAX_STATES", 1)
+    code, out, err = run_cli(capsys, "poly", str(data_dir / "theta.map"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "1 states" in err
+
+
 def test_determinism_across_runs(data_dir):
     cmd = [sys.executable, "-m", "surfpoly.cli", "poly", str(data_dir / "tb2.map")]
     runs = {subprocess.run(cmd, capture_output=True, text=True).stdout for _ in range(2)}

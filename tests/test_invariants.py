@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfpoly.corpus import alternating_diagrams
 from surfpoly.errors import NotSpanning
@@ -145,12 +148,13 @@ class ReferenceScanner:
 
 def assert_matches_reference(graph: EmbeddedSubgraph) -> None:
     """Every mask of the sweep, of ``scan`` and of the one-mask path equals
-    the reference."""
+    the reference, and the frontier DP counts exactly the sweep's codes."""
     ref = ReferenceScanner(graph)
     sc = SubgraphScanner(graph)
     expected = [ref.invariants_of_mask(mask) for mask in range(1 << len(graph.sorted_edges))]
     assert [inv.as_tuple() for _, inv in scan(graph, cap=None)] == expected, graph
     assert [sc.invariants_of_mask(mask).as_tuple() for mask in range(len(expected))] == expected
+    assert sc.code_counts() == Counter(sc.codes()), graph
 
 
 def random_marking(m: CombinatorialMap, rng: random.Random) -> EmbeddedSubgraph:
@@ -174,6 +178,27 @@ def test_sweep_matches_reference_on_marked_subgraphs():
         if rng.random() < 0.3:
             m = CombinatorialMap(dict(m.sigma), dict(m.alpha), rng.randint(1, 2))
         assert_matches_reference(random_marking(m, rng))
+
+
+def test_sweep_matches_reference_on_disconnected_hosts():
+    # the frontier DP must not carry a class across host components
+    rng = random.Random(41)
+    for _ in range(60):
+        m = random_map(rng.randint(1, 5), rng).disjoint_union(random_map(rng.randint(1, 5), rng))
+        if rng.random() < 0.5:
+            m = CombinatorialMap(dict(m.sigma), dict(m.alpha), rng.randint(1, 2))
+        assert_matches_reference(random_marking(m, rng))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 2))
+def test_frontier_dp_matches_sweep_up_to_14_edges(n_edges, seed, marked, isolated):
+    rng = random.Random(seed)
+    m = random_map(n_edges, rng)
+    if isolated:
+        m = CombinatorialMap(dict(m.sigma), dict(m.alpha), isolated)
+    sc = SubgraphScanner(random_marking(m, rng) if marked else EmbeddedSubgraph.full(m))
+    assert sc.code_counts() == Counter(sc.codes())
 
 
 def test_sweep_matches_reference_on_minor_residues():

@@ -7,6 +7,8 @@ import pytest
 from test_invariants import random_marking
 from test_maps import bridges
 
+from surfpoly.cli import main
+from surfpoly.corpus import random_maps
 from surfpoly.errors import TooManyEdges
 from surfpoly.homology import SurfaceHomology
 from surfpoly.laurent import LaurentPolynomial as L
@@ -245,25 +247,24 @@ def test_specializations_sweep_a_connected_map_once(monkeypatch, tb2, sl, theta)
         assert len(swept) == sweeps, m
 
 
-def test_threads_match_sequential(theta):
+def test_threads_match_sequential(capsys, tmp_path, theta):
+    # --threads has no effect; it is still accepted, and the output is the same
     big = theta
     for _ in range(2):
         big = big.disjoint_union(theta)  # 9 edges total
-    seq = p_bruteforce(big)
-    par = p_bruteforce(big, threads=2)
-    assert seq == par
+    path = tmp_path / "big.map"
+    path.write_text(serialize_map(big))
+    outs = []
+    for threads in ("1", "3"):
+        assert main(["--threads", threads, "poly", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == p_bruteforce(big).to_canonical_string() + "\n"
 
-    # the package attribute ``surfpoly.invariants`` is the function of that
-    # name, so the module is fetched by its full name
-    engine = importlib.import_module("surfpoly.invariants")
 
-    old = engine._PARALLEL_THRESHOLD
-    engine._PARALLEL_THRESHOLD = 1 << 6
-    try:
-        par2 = p_bruteforce(big, threads=2)
-        # 3 workers do not divide the power-of-two count of subtrees
-        counts3 = engine.histogram(EmbeddedSubgraph.full(big), threads=3)
-    finally:
-        engine._PARALLEL_THRESHOLD = old
-    assert par2 == seq
-    assert counts3 == engine.histogram(EmbeddedSubgraph.full(big))
+def test_duality_on_a_24_edge_map():
+    # 2^24 subgraphs, a size only the frontier DP reaches in a test
+    m = random_maps(1, 24, seed=3, min_edges=24)[0]
+    assert m.n_edges == 24
+    rep = verify_duality(m, cap=24)
+    assert rep.all_passed, rep.lines()
+    assert sum(p_bruteforce(m, cap=24).terms.values()) == 1 << 24
