@@ -27,9 +27,7 @@ class LaurentPolynomial:
         variables: Iterable[str] = (),
         terms: Mapping[tuple[int, ...], int] | None = None,
     ):
-        variables = tuple(variables)
-        terms = dict(terms or {})
-        self._vars, self._terms = _normalize(variables, terms)
+        self._vars, self._terms = _normalize(tuple(variables), terms or {})
 
     # -- constructors --------------------------------------------------------
 
@@ -47,8 +45,7 @@ class LaurentPolynomial:
 
     @classmethod
     def monomial(cls, coeff: int, exponents: Mapping[str, int]) -> "LaurentPolynomial":
-        names = tuple(sorted(exponents))
-        return cls(names, {tuple(exponents[n] for n in names): coeff})
+        return cls(exponents, {tuple(exponents.values()): coeff})
 
     # -- predicates ----------------------------------------------------------
 
@@ -128,10 +125,7 @@ class LaurentPolynomial:
         new_names = [mapping.get(v, v) for v in self._vars]
         if len(set(new_names)) != len(new_names):
             raise ValueError("rename collapses distinct variables")
-        order = sorted(range(len(new_names)), key=lambda i: new_names[i])
-        vars_sorted = tuple(new_names[i] for i in order)
-        terms = {tuple(e[i] for i in order): c for e, c in self._terms.items()}
-        return LaurentPolynomial(vars_sorted, terms)
+        return LaurentPolynomial(new_names, self._terms)
 
     def substitute(self, bindings: Mapping[str, Coeffable]) -> "LaurentPolynomial":
         """Exact simultaneous composition; unbound variables pass through.
@@ -216,23 +210,24 @@ class LaurentPolynomial:
 
 
 def _normalize(
-    variables: tuple[str, ...], terms: dict[tuple[int, ...], int]
+    variables: tuple[str, ...], terms: Mapping[tuple[int, ...], int]
 ) -> tuple[tuple[str, ...], dict[tuple[int, ...], int]]:
+    """Drop zero terms and unused variables and sort the rest by name, in
+    the only copy of ``terms``.  No two keys merge, so no zero reappears: two
+    distinct keys differ in a column one of them uses, and that column stays."""
     terms = {e: c for e, c in terms.items() if c}
-    for e in terms:
-        if len(e) != len(variables):
-            raise ValueError("exponent vector length does not match variables")
-    used = [i for i in range(len(variables)) if any(e[i] for e in terms)]
-    names = [variables[i] for i in used]
+    if any(len(e) != len(variables) for e in terms):
+        raise ValueError("exponent vector length does not match variables")
+    used = sorted(
+        (i for i, column in enumerate(zip(*terms)) if any(column)),
+        key=variables.__getitem__,
+    )
+    names = tuple(variables[i] for i in used)
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable names in {variables}")
-    order = sorted(range(len(used)), key=lambda j: names[j])
-    out_vars = tuple(names[j] for j in order)
-    out_terms: dict[tuple[int, ...], int] = {}
-    for e, c in terms.items():
-        key = tuple(e[used[j]] for j in order)
-        out_terms[key] = out_terms.get(key, 0) + c
-    return out_vars, {e: c for e, c in out_terms.items() if c}
+    if names == variables:
+        return names, terms
+    return names, {tuple(e[i] for i in used): c for e, c in terms.items()}
 
 
 def _coerce(x: Coeffable) -> LaurentPolynomial:

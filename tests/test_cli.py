@@ -119,6 +119,37 @@ def test_verify_all(capsys):
     assert "FAIL" not in out and "PASS" in out
 
 
+def test_verify_failure_exits_1_with_witness(capsys, data_dir, monkeypatch):
+    from surfpoly.report import PolynomialReport, Verdict
+
+    failing = PolynomialReport(
+        "stub",
+        verdicts=(
+            Verdict("P(m) = P(m*)", True),
+            Verdict("X = Y", False, witness="X != Y at edge 1"),
+        ),
+    )
+    cli_mod = importlib.import_module("surfpoly.cli")
+    monkeypatch.setattr(cli_mod, "verify_duality", lambda m, cap: failing)
+    tb2 = str(data_dir / "tb2.map")
+    code, out, _ = run_cli(capsys, "verify", "duality", tb2)
+    assert code == 1
+    assert out.splitlines() == [
+        f"PASS [{tb2}] P(m) = P(m*)",
+        f"FAIL [{tb2}] X = Y",
+        "  witness: X != Y at edge 1",
+    ]
+    code, out, _ = run_cli(capsys, "--json", "verify", "duality", tb2)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["all_passed"] is False
+    assert payload["reports"][0]["verdicts"][1] == {
+        "identity": "X = Y",
+        "passed": False,
+        "witness": "X != Y at edge 1",
+    }
+
+
 def test_json_mode(capsys, data_dir):
     code, out, _ = run_cli(capsys, "--json", "poly", str(data_dir / "tb2.map"))
     assert code == 0

@@ -196,3 +196,92 @@ def test_substitute_matches_term_by_term_reference(case):
     got = p.substitute(bindings)
     assert got == expected
     assert got.to_canonical_string() == expected.to_canonical_string()
+
+
+# -- _normalize against the multi-pass version it replaced ---------------------
+
+
+def _reference_normalize(variables, terms):
+    """The normalization before the one-pass rewrite: filter, re-key through
+    the used columns in name order, merge, and filter again."""
+    terms = {e: c for e, c in terms.items() if c}
+    for e in terms:
+        if len(e) != len(variables):
+            raise ValueError("exponent vector length does not match variables")
+    used = [i for i in range(len(variables)) if any(e[i] for e in terms)]
+    names = [variables[i] for i in used]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate variable names in {variables}")
+    order = sorted(range(len(used)), key=lambda j: names[j])
+    out_vars = tuple(names[j] for j in order)
+    out_terms = {}
+    for e, c in terms.items():
+        key = tuple(e[used[j]] for j in order)
+        out_terms[key] = out_terms.get(key, 0) + c
+    return out_vars, {e: c for e, c in out_terms.items() if c}
+
+
+@st.composite
+def raw_polynomials(draw):
+    """Constructor input: unsorted names, possibly repeated, some columns
+    forced to zero (so a repeated name may be unused), zero coefficients and
+    exponent vectors one entry too short or too long."""
+    names = tuple(draw(st.lists(st.sampled_from("ABXYZd"), max_size=5)))
+    n = len(names)
+    unused = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+    exponent = st.tuples(
+        *(st.just(0) if i in unused else st.integers(-2, 2) for i in range(n))
+    )
+    coeff = st.sampled_from([0, 0, 1, -1, 3])
+    terms = draw(st.dictionaries(exponent, coeff, max_size=6))
+    for length in draw(st.lists(st.sampled_from([n - 1, n + 1]), max_size=2)):
+        if length >= 0:
+            key = tuple(draw(st.integers(-2, 2)) for _ in range(length))
+            terms[key] = draw(st.sampled_from([0, 0, 0, 2]))
+    return names, terms
+
+
+def _assert_same_normalization(got, expected):
+    assert got.variables == expected[0]
+    # same terms in the same order, since callers iterate them
+    assert list(got.terms.items()) == list(expected[1].items())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(raw_polynomials())
+def test_normalize_matches_reference(case):
+    names, terms = case
+    try:
+        expected = _reference_normalize(names, terms)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            L(names, terms)
+        assert str(info.value) == str(exc)
+        return
+    p = L(names, terms)
+    _assert_same_normalization(p, expected)
+    terms.clear()  # the polynomial keeps its own copy of the caller's terms
+    assert p.terms == expected[1]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    st.dictionaries(st.sampled_from("ZYXdBA"), st.integers(-2, 2), max_size=5),
+    st.sampled_from([1, -1, 0, 4]),
+)
+def test_monomial_with_unsorted_keys(exponents, coeff):
+    names = tuple(sorted(exponents))
+    expected = _reference_normalize(names, {tuple(exponents[n] for n in names): coeff})
+    _assert_same_normalization(L.monomial(coeff, exponents), expected)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    st.dictionaries(st.tuples(*(st.integers(-2, 2) for _ in NAMES)), st.integers(-3, 3), max_size=5),
+    st.permutations("ZYXWBA"),
+)
+def test_rename_onto_unsorted_names(terms, targets):
+    p = L(NAMES, terms)
+    mapping = dict(zip(NAMES, targets))
+    expected = _reference_normalize(tuple(mapping[v] for v in p.variables), p.terms)
+    _assert_same_normalization(p.rename(mapping), expected)
