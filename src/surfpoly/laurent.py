@@ -11,7 +11,7 @@ Laurent ring (inverting a non-monomial) raise :class:`NonLaurentResult`.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Union
 
 from .errors import NonLaurentResult
@@ -218,8 +218,11 @@ def _normalize(
     terms = {e: c for e, c in terms.items() if c}
     if any(len(e) != len(variables) for e in terms):
         raise ValueError("exponent vector length does not match variables")
+    # column by column: zip(*terms) would hold one live iterator per term,
+    # enough to push a garbage collection's survivors into the oldest
+    # generation and trigger full collections mid-item
     used = sorted(
-        (i for i, column in enumerate(zip(*terms)) if any(column)),
+        (i for i in range(len(variables)) if any(map(itemgetter(i), terms))),
         key=variables.__getitem__,
     )
     names = tuple(variables[i] for i in used)

@@ -106,12 +106,10 @@ def p_bar(
     weighting = weighting or EdgeWeighting(graph)
     edges = graph.sorted_edges
     subgraphs = scan(graph, cap)
-    names = ["q", "A", "B"]
-    for _, exps in weighting.assigned.values():
-        for v in exps:
-            if v not in names:
-                names.append(v)
+    # sorted, as LaurentPolynomial keeps them, so its terms are not re-keyed
+    names = sorted({"q", "A", "B"}.union(*(exps for _, exps in weighting.assigned.values())))
     index = {v: i for i, v in enumerate(names)}
+    iq, ia, ib = index["q"], index["A"], index["B"]
     nvar = len(names)
     edge_vecs = []
     for e in edges:
@@ -123,9 +121,9 @@ def p_bar(
     terms: dict[tuple[int, ...], int] = {}
     for mask, inv in subgraphs:
         vec = [0] * nvar
-        vec[0] = inv.c
-        vec[1] = inv.s // 2
-        vec[2] = inv.s_perp // 2
+        vec[iq] = inv.c
+        vec[ia] = inv.s // 2
+        vec[ib] = inv.s_perp // 2
         coeff = 1
         for i in range(len(edges)):
             if mask >> i & 1:

@@ -89,8 +89,22 @@ def p_recursive(
         rest.union(*graph.host.edge_endpoints(f))
     u, w = graph.host.edge_endpoints(edge)
     if rest.find(u) != rest.find(w):  # a bridge
-        return (1 + LaurentPolynomial.variable("X")) * contracted
+        return _one_plus_x_times(contracted)
     return p_recursive(graph.delete_edge(edge), cap) + contracted
+
+
+def _one_plus_x_times(p: LaurentPolynomial) -> LaurentPolynomial:
+    """(1+X) p, as p plus its copy with the X exponent raised by one."""
+    names = tuple(sorted({"X", *p.variables}))
+    i = names.index("X")
+    terms = p.terms
+    if "X" not in p.variables:  # give every term an X exponent of 0
+        terms = {(*e[:i], 0, *e[i:]): c for e, c in terms.items()}
+    out = dict(terms)
+    for e, c in terms.items():
+        key = (*e[:i], e[i] + 1, *e[i + 1:])
+        out[key] = out.get(key, 0) + c
+    return LaurentPolynomial(names, out)
 
 
 # -- classical polynomials ----------------------------------------------------
@@ -101,29 +115,72 @@ def tutte(
     """Whitney-rank normalization of the Tutte polynomial of an abstract
     multigraph: sum over spanning H of X^(c(H)-c(G)) Y^(n(H)).
 
-    Its own union-find sum, independent of the subgraph scanner, so that
-    the Tutte identity checks the scanner."""
+    Memoised deletion-contraction on the multigraph alone, independent of
+    the ribbon structure and the subgraph scanner, so that the Tutte
+    identity checks the scanner: each loop is a factor (1+Y), and the
+    loopless rest is expanded by ``_tutte_terms``."""
     edges = list(edges)
     check_cap(len(edges), cap)
     index = {v: i for i, v in enumerate(dict.fromkeys(vertices))}
     ends = [(index[u], index[w]) for u, w in edges]
-    counts: Counter = Counter()  # (c(H), n(H)) -> subgraphs
-    for mask in range(1 << len(ends)):
-        parent = list(range(len(index)))
-        c = len(index)
-        for i, (u, w) in enumerate(ends):
-            if mask >> i & 1:
-                while parent[u] != u:
-                    u = parent[u]
-                while parent[w] != w:
-                    w = parent[w]
-                if u != w:
-                    parent[w] = u
-                    c -= 1
-        counts[c, bin(mask).count("1") - len(index) + c] += 1
-    c_g = min(c for c, _ in counts)  # reached at H = G
-    terms = {(c - c_g, n): cnt for (c, n), cnt in counts.items()}
+    loopless = [(u, w) for u, w in ends if u != w]
+    loops = len(ends) - len(loopless)
+    terms = _times({}, _tutte_terms(_relabel(loopless), {}),
+                   [(0, j, math.comb(loops, j)) for j in range(loops + 1)])
     return LaurentPolynomial(("X", "Y"), terms)
+
+
+def _tutte_terms(edges: tuple, memo: dict) -> dict[tuple[int, int], int]:
+    """Terms {(X exp, Y exp): coeff} of the loopless multigraph ``edges``,
+    relabelled so that its first edge is (0, 1).  That edge's parallel
+    class of k edges is absent from a subgraph, or present with j >= 1
+    edges, which give sum_j C(k, j) Y^(j-1) times the graph with the class
+    contracted (no loop appears).  Absent, it leaves the graph with the
+    class deleted, times X if the class is a cut; a cut's deletion and
+    contraction differ by a one-point join, which does not change the sum,
+    so a cut needs one branch.  The memo keys on the relabelled edge
+    tuple: edges keep their input order, so branches that reach the same
+    multigraph meet."""
+    if not edges:
+        return {(0, 0): 1}
+    if edges in memo:
+        return memo[edges]
+    rest = [e for e in edges if e != (0, 1)]
+    k = len(edges) - len(rest)
+    factor = [(0, j - 1, math.comb(k, j)) for j in range(1, k + 1)]
+    parts = UnionFind(range(max(map(max, edges)) + 1))
+    for u, w in rest:
+        parts.union(u, w)
+    if parts.find(0) == parts.find(1):
+        out = dict(_tutte_terms(_relabel(rest), memo))
+    else:  # a cut
+        factor.append((1, 0, 1))
+        out = {}
+    memo[edges] = _times(out, _tutte_terms(_relabel(rest, contract=True), memo), factor)
+    return memo[edges]
+
+
+def _relabel(edges: list[tuple[int, int]], contract: bool = False) -> tuple:
+    """``edges`` in the same order, with vertex 1 merged into vertex 0 if
+    ``contract``, and the vertices renumbered by first appearance."""
+    names: dict[int, int] = {}
+    out = []
+    for u, w in edges:
+        if contract:
+            u, w = u if u != 1 else 0, w if w != 1 else 0
+        u, w = names.setdefault(u, len(names)), names.setdefault(w, len(names))
+        out.append((u, w) if u < w else (w, u))
+    return tuple(out)
+
+
+def _times(out: dict, terms: dict, factor: list[tuple[int, int, int]]) -> dict:
+    """Add ``terms`` times the polynomial sum c X^i Y^j over ``factor``'s
+    (i, j, c) into ``out``, and return it."""
+    for (i, j), c in terms.items():
+        for di, dj, f in factor:
+            key = (i + di, j + dj)
+            out[key] = out.get(key, 0) + c * f
+    return out
 
 
 def abstract_graph(graph: EmbeddedSubgraph | CombinatorialMap) -> tuple[list, list]:

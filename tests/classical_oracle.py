@@ -1,4 +1,5 @@
-"""Independent brute-force classical Kauffman bracket / Jones oracle.
+"""Independent brute-force classical Kauffman bracket / Jones oracle, and
+networkx's Tutte polynomial as a third Tutte route.
 
 Deliberately shares no code with the package: parses .vlk text itself,
 smooths crossings by rewriting endpoint pairings, counts loops by walking
@@ -137,3 +138,18 @@ def jones(text: str) -> sp.Expr:
     v = (-A) ** (-3 * w) * bracket(text)
     v = sp.expand(v)
     return sp.expand(v.subs(A, t ** sp.Rational(-1, 4)))
+
+
+def tutte(vertices, edges) -> sp.Expr:
+    """Whitney-rank Tutte polynomial in X and Y: networkx's classical
+    T(x, y) of the multigraph at x = X + 1, y = Y + 1.  networkx is not a
+    test dependency, so callers skip first with
+    ``pytest.importorskip("networkx")``."""
+    import networkx as nx
+
+    g = nx.MultiGraph()
+    g.add_nodes_from(vertices)
+    g.add_edges_from(edges)
+    x, y = sp.symbols("x y")
+    X, Y = sp.symbols("X Y")
+    return sp.expand(nx.tutte_polynomial(g).subs({x: X + 1, y: Y + 1}, simultaneous=True))

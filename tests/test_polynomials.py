@@ -1,9 +1,14 @@
 import gc
 import importlib
+import itertools
 import random
 import weakref
+from collections import Counter
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_invariants import random_marking
 from test_maps import bridges
 
@@ -147,6 +152,107 @@ def test_tutte_examples(tb2, sb, theta):
     t = tutte(*abstract_graph(tri))
     y = L.variable("Y")
     assert t == p_bruteforce(tri).substitute({"A": y, "B": y ** -1})
+
+
+def tutte_by_masks(vertices, edges) -> L:
+    """Reference Tutte polynomial: one union-find per spanning subgraph,
+    counting (c(H), n(H)) over all 2^e edge masks."""
+    index = {v: i for i, v in enumerate(dict.fromkeys(vertices))}
+    ends = [(index[u], index[w]) for u, w in edges]
+    counts: Counter = Counter()
+    for mask in range(1 << len(ends)):
+        parent = list(range(len(index)))
+        c = len(index)
+        for i, (u, w) in enumerate(ends):
+            if mask >> i & 1:
+                while parent[u] != u:
+                    u = parent[u]
+                while parent[w] != w:
+                    w = parent[w]
+                if u != w:
+                    parent[w] = u
+                    c -= 1
+        counts[c, bin(mask).count("1") - len(index) + c] += 1
+    c_g = min(c for c, _ in counts)  # reached at H = G
+    return L(("X", "Y"), {(c - c_g, n): cnt for (c, n), cnt in counts.items()})
+
+
+def grid(rows: int, cols: int) -> tuple[list, list]:
+    vertices = list(itertools.product(range(rows), range(cols)))
+    edges = [((i, j), (i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    edges += [((i, j), (i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    return vertices, edges
+
+
+def test_tutte_matches_masks_on_every_map_up_to_4_edges(maps_up_to_4):
+    for m in maps_up_to_4:
+        g = abstract_graph(m)
+        assert tutte(*g) == tutte_by_masks(*g)
+
+
+def test_tutte_matches_masks_on_random_maps():
+    # marked subgraphs, extra isolated vertices and disjoint unions too
+    rng = random.Random(61)
+    for _ in range(320):
+        m = random_map(rng.randint(1, 10), rng)
+        if rng.random() < 0.3:
+            m = CombinatorialMap(dict(m.sigma), dict(m.alpha), rng.randint(1, 2))
+        if rng.random() < 0.3:
+            m = m.disjoint_union(random_map(rng.randint(1, 3), rng))
+        g = random_marking(m, rng) if rng.random() < 0.3 else m
+        assert tutte(*abstract_graph(g)) == tutte_by_masks(*abstract_graph(g)), serialize_map(m)
+
+
+@st.composite
+def multigraphs(draw):
+    """Vertex names in any order and up to 10 edges between them: loops,
+    parallel classes, isolated vertices, several components, or no edge."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(0, 6)))]
+    if not vertices:
+        return vertices, []
+    ends = st.sampled_from(vertices)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=10))
+    return draw(st.permutations(vertices)), edges
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(multigraphs())
+def test_tutte_matches_masks_on_multigraphs(graph):
+    assert tutte(*graph) == tutte_by_masks(*graph)
+
+
+def test_tutte_memo_meets_on_a_grid(monkeypatch):
+    # on the 3x4 grid, deletion-contraction branches reach equal
+    # multigraphs, and each one is expanded only once
+    poly_mod = importlib.import_module("surfpoly.polynomials")
+    real = poly_mod._tutte_terms
+    calls = []
+
+    def spy(edges, memo):
+        calls.append((edges, edges in memo))
+        return real(edges, memo)
+
+    monkeypatch.setattr(poly_mod, "_tutte_terms", spy)
+    vertices, edges = grid(3, 4)
+    assert tutte(vertices, edges) == tutte_by_masks(vertices, edges)
+    assert any(hit for _, hit in calls)
+    expanded = [e for e, hit in calls if e and not hit]
+    assert len(expanded) == len(set(expanded))
+    # only an expanded multigraph recurses, into at most two minors
+    assert len(calls) <= 1 + 2 * len(expanded)
+
+
+def test_tutte_matches_networkx():
+    pytest.importorskip("networkx")
+    import networkx as nx
+    from classical_oracle import tutte as oracle_tutte
+
+    graphs = [abstract_graph(m) for m in random_maps(60, 12, seed=67, min_edges=12)]
+    for g in (nx.complete_graph(6), nx.petersen_graph()):
+        graphs.append((list(g.nodes), list(g.edges)))
+    for vertices, edges in graphs:
+        mine = sp.sympify(tutte(vertices, edges).to_canonical_string().replace("^", "**"))
+        assert sp.expand(mine - oracle_tutte(vertices, edges)) == 0
 
 
 def test_bollobas_riordan_examples(tb2, sl, sb):
