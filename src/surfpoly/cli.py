@@ -320,12 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cap", type=int, default=DEFAULT_CAP, help=f"state-sum size cap (default {DEFAULT_CAP})"
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="no effect; accepted so that existing scripts still run",
-    )
     parser.add_argument("--seed", type=int, default=2024, help="corpus seed")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -122,22 +122,14 @@ class SubgraphScanner:
         self.ins = tuple(map(in_links, self.edges))
         self.outs = tuple(map(out_links, self.edges))
 
-    def codes(self, prefix: int = 0, depth: int = 0) -> array:
-        """Codes of the subgraphs whose top ``depth`` mask bits are
-        ``prefix``, in increasing mask order.
+    def codes(self) -> array:
+        """Codes of all 2^e subgraphs, in increasing mask order.
 
         One depth-first walk from the top bit down, out-branch first: each
         node copies its union-find for the out child and reuses it for the
         in child.
         """
         ins, outs = self.ins, self.outs
-        lo = len(self.edges) - depth
-        parent, code = list(self.base), self.base_code
-        for i in range(lo, len(self.edges)):
-            if prefix >> (i - lo) & 1:
-                code += 1 + _link(parent, ins[i])
-            else:
-                code += _link(parent, outs[i])
         out = array("q")
 
         def walk(parent: list[int], code: int, i: int) -> None:
@@ -151,10 +143,10 @@ class SubgraphScanner:
                 out.append(out_code)
                 out.append(in_code)
 
-        if lo:
-            walk(parent, code, lo - 1)
+        if self.edges:
+            walk(list(self.base), self.base_code, len(self.edges) - 1)
         else:
-            out.append(code)
+            out.append(self.base_code)
         return out
 
     def code_counts(self) -> dict[int, int]:
@@ -261,7 +253,10 @@ class SubgraphScanner:
         return SubgraphInvariants(c, v_count, e_count, n, bc, s, s_perp, k, l)
 
     def invariants_of_mask(self, mask: int) -> SubgraphInvariants:
-        return self.decode(self.codes(mask, len(self.edges))[0])
+        parent, code = list(self.base), self.base_code
+        for i, (outs, ins) in enumerate(zip(self.outs, self.ins)):
+            code += 1 + _link(parent, ins) if mask >> i & 1 else _link(parent, outs)
+        return self.decode(code)
 
     def mask_of(self, h_edges: Iterable[int]) -> int:
         mask = 0

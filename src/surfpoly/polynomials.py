@@ -6,11 +6,11 @@ host surface of total genus g:
     P(X,Y,A,B) = sum_H  X^(c(H)-c(G)) * Y^k(H) * A^(s(H)/2) * B^(s_perp(H)/2)
 
 Two evaluators are provided: a projection of the histogram of subgraph
-invariants, which the engine counts with a frontier DP edge by edge, and a
-plain contraction-deletion recursion (on the lowest non-loop edge: a (1+X)
-factor for a bridge, delete plus contract otherwise, and the histogram of
-a loops-only residue).  The verifiers compute both sides of each published
-identity exactly and compare canonical forms.
+invariants, which the engine counts with a frontier DP edge by edge, and
+contraction-deletion over an explicit work stack (on the lowest non-loop
+edge: a (1+X) factor for a bridge, delete plus contract otherwise, and the
+histogram of a loops-only residue).  The verifiers compute both sides of
+each published identity exactly and compare canonical forms.
 """
 
 from __future__ import annotations
@@ -41,10 +41,12 @@ def _exponents(
     return out
 
 
+def _p_key(i: SubgraphInvariants, c_g: int) -> tuple[int, ...]:
+    return (i.c - c_g, i.k, i.s // 2, i.s_perp // 2)
+
+
 def _p_of(hist: Counter) -> LaurentPolynomial:
-    return LaurentPolynomial(
-        _PVARS, _exponents(hist, lambda i, c_g: (i.c - c_g, i.k, i.s // 2, i.s_perp // 2))
-    )
+    return LaurentPolynomial(_PVARS, _exponents(hist, _p_key))
 
 
 def _br_of(hist: Counter) -> LaurentPolynomial:
@@ -74,37 +76,38 @@ def p_recursive(
 ) -> LaurentPolynomial:
     """Contraction-deletion on the lowest non-loop edge e: (1+X) P(G/e) when
     deleting e raises the component count (a bridge), P(G-e) + P(G/e)
-    otherwise, and p_bruteforce on a loops-only residue; agrees with
-    p_bruteforce wherever both run.  More than ``cap`` edges are refused on
-    entry; a residue is never larger than its input, so it is not capped."""
+    otherwise, and the histogram of a loops-only residue; agrees with
+    p_bruteforce wherever both run.  A work stack holds each pending minor
+    with its count b of contracted bridges; a residue's exponent counts are
+    summed per b, and (1+X)^b is expanded by binomials once at the end.
+    More than ``cap`` edges are refused on entry; a residue is never larger
+    than its input, so it is not capped."""
     if isinstance(graph, CombinatorialMap):
         graph = EmbeddedSubgraph.full(graph)
     check_cap(len(graph.sorted_edges), cap)
-    edge = next((e for e in graph.sorted_edges if not graph.is_loop(e)), None)
-    if edge is None:
-        return p_bruteforce(graph, cap=None)
-    contracted = p_recursive(graph.contract_edge(edge), cap)
-    rest = UnionFind(graph.g_vertices)  # G - e
-    for f in graph.g_edges - {edge}:
-        rest.union(*graph.host.edge_endpoints(f))
-    u, w = graph.host.edge_endpoints(edge)
-    if rest.find(u) != rest.find(w):  # a bridge
-        return _one_plus_x_times(contracted)
-    return p_recursive(graph.delete_edge(edge), cap) + contracted
-
-
-def _one_plus_x_times(p: LaurentPolynomial) -> LaurentPolynomial:
-    """(1+X) p, as p plus its copy with the X exponent raised by one."""
-    names = tuple(sorted({"X", *p.variables}))
-    i = names.index("X")
-    terms = p.terms
-    if "X" not in p.variables:  # give every term an X exponent of 0
-        terms = {(*e[:i], 0, *e[i:]): c for e, c in terms.items()}
-    out = dict(terms)
-    for e, c in terms.items():
-        key = (*e[:i], e[i] + 1, *e[i + 1:])
-        out[key] = out.get(key, 0) + c
-    return LaurentPolynomial(names, out)
+    residues: Counter = Counter()  # (b, exponent vector) -> subgraph count
+    stack = [(graph, 0)]
+    while stack:
+        graph, bridges = stack.pop()
+        edge = next((e for e in graph.sorted_edges if not graph.is_loop(e)), None)
+        if edge is None:
+            for exps, cnt in _exponents(histogram(graph, None), _p_key).items():
+                residues[bridges, exps] += cnt
+            continue
+        rest = UnionFind(graph.g_vertices)  # G - e
+        for f in graph.g_edges - {edge}:
+            rest.union(*graph.host.edge_endpoints(f))
+        u, w = graph.host.edge_endpoints(edge)
+        if rest.find(u) != rest.find(w):  # a bridge
+            stack.append((graph.contract_edge(edge), bridges + 1))
+        else:
+            stack.append((graph.delete_edge(edge), bridges))
+            stack.append((graph.contract_edge(edge), bridges))
+    terms: Counter = Counter()
+    for (bridges, (x, *yab)), cnt in residues.items():
+        for j in range(bridges + 1):
+            terms[(x + j, *yab)] += math.comb(bridges, j) * cnt
+    return LaurentPolynomial(_PVARS, terms)
 
 
 # -- classical polynomials ----------------------------------------------------
@@ -115,49 +118,51 @@ def tutte(
     """Whitney-rank normalization of the Tutte polynomial of an abstract
     multigraph: sum over spanning H of X^(c(H)-c(G)) Y^(n(H)).
 
-    Memoised deletion-contraction on the multigraph alone, independent of
-    the ribbon structure and the subgraph scanner, so that the Tutte
-    identity checks the scanner: each loop is a factor (1+Y), and the
-    loopless rest is expanded by ``_tutte_terms``."""
+    Deletion-contraction on the multigraph alone, independent of the ribbon
+    structure and the subgraph scanner, so that the Tutte identity checks
+    the scanner: each loop is a factor (1+Y), and the loopless rest is
+    expanded level by level.  ``levels[k]`` maps each pending relabelled
+    multigraph with k edges to the summed factors of the branches that
+    reach it; levels go from most edges to fewest, so each multigraph is
+    expanded by ``_tutte_minors`` once, after every branch into it."""
     edges = list(edges)
     check_cap(len(edges), cap)
     index = {v: i for i, v in enumerate(dict.fromkeys(vertices))}
     ends = [(index[u], index[w]) for u, w in edges]
     loopless = [(u, w) for u, w in ends if u != w]
     loops = len(ends) - len(loopless)
-    terms = _times({}, _tutte_terms(_relabel(loopless), {}),
-                   [(0, j, math.comb(loops, j)) for j in range(loops + 1)])
+    levels: list[dict[tuple, dict]] = [{} for _ in loopless]
+    levels.append({_relabel(loopless): {(0, 0): 1}})
+    while len(levels) > 1:
+        for graph, terms in levels.pop().items():
+            for minor, factor in _tutte_minors(graph):
+                _times(levels[len(minor)].setdefault(minor, {}), terms, factor)
+    terms = _times({}, levels[0][()], [(0, j, math.comb(loops, j)) for j in range(loops + 1)])
     return LaurentPolynomial(("X", "Y"), terms)
 
 
-def _tutte_terms(edges: tuple, memo: dict) -> dict[tuple[int, int], int]:
-    """Terms {(X exp, Y exp): coeff} of the loopless multigraph ``edges``,
-    relabelled so that its first edge is (0, 1).  That edge's parallel
-    class of k edges is absent from a subgraph, or present with j >= 1
-    edges, which give sum_j C(k, j) Y^(j-1) times the graph with the class
-    contracted (no loop appears).  Absent, it leaves the graph with the
-    class deleted, times X if the class is a cut; a cut's deletion and
-    contraction differ by a one-point join, which does not change the sum,
-    so a cut needs one branch.  The memo keys on the relabelled edge
-    tuple: edges keep their input order, so branches that reach the same
-    multigraph meet."""
-    if not edges:
-        return {(0, 0): 1}
-    if edges in memo:
-        return memo[edges]
+def _tutte_minors(edges: tuple) -> list[tuple[tuple, list[tuple[int, int, int]]]]:
+    """The minors of the loopless multigraph ``edges``, relabelled so that
+    its first edge is (0, 1), each with its factor as ``_times`` takes it.
+    That edge's parallel class of k edges is absent from a subgraph, or
+    present with j >= 1 edges, which give sum_j C(k, j) Y^(j-1) times the
+    graph with the class contracted (no loop appears).  Absent, it leaves
+    the graph with the class deleted, times X if the class is a cut; a
+    cut's deletion and contraction differ by a one-point join, which does
+    not change the sum, so a cut needs one branch.  Minors keep the input
+    edge order, so branches that reach the same multigraph meet."""
     rest = [e for e in edges if e != (0, 1)]
     k = len(edges) - len(rest)
     factor = [(0, j - 1, math.comb(k, j)) for j in range(1, k + 1)]
     parts = UnionFind(range(max(map(max, edges)) + 1))
     for u, w in rest:
         parts.union(u, w)
+    minors = [(_relabel(rest, contract=True), factor)]
     if parts.find(0) == parts.find(1):
-        out = dict(_tutte_terms(_relabel(rest), memo))
+        minors.append((_relabel(rest), [(0, 0, 1)]))
     else:  # a cut
         factor.append((1, 0, 1))
-        out = {}
-    memo[edges] = _times(out, _tutte_terms(_relabel(rest, contract=True), memo), factor)
-    return memo[edges]
+    return minors
 
 
 def _relabel(edges: list[tuple[int, int]], contract: bool = False) -> tuple:

@@ -2,6 +2,7 @@ import gc
 import importlib
 import itertools
 import random
+import sys
 import weakref
 from collections import Counter
 
@@ -225,21 +226,25 @@ def test_tutte_memo_meets_on_a_grid(monkeypatch):
     # on the 3x4 grid, deletion-contraction branches reach equal
     # multigraphs, and each one is expanded only once
     poly_mod = importlib.import_module("surfpoly.polynomials")
-    real = poly_mod._tutte_terms
-    calls = []
+    real = poly_mod._tutte_minors
+    expanded, reached = [], []
 
-    def spy(edges, memo):
-        calls.append((edges, edges in memo))
-        return real(edges, memo)
+    def spy(edges):
+        expanded.append(edges)
+        minors = real(edges)
+        reached.extend(minor for minor, _ in minors)
+        return minors
 
-    monkeypatch.setattr(poly_mod, "_tutte_terms", spy)
+    monkeypatch.setattr(poly_mod, "_tutte_minors", spy)
     vertices, edges = grid(3, 4)
     assert tutte(vertices, edges) == tutte_by_masks(vertices, edges)
-    assert any(hit for _, hit in calls)
-    expanded = [e for e, hit in calls if e and not hit]
+    assert len(set(reached)) < len(reached)
     assert len(expanded) == len(set(expanded))
-    # only an expanded multigraph recurses, into at most two minors
-    assert len(calls) <= 1 + 2 * len(expanded)
+    # the grid comes first, and every other expanded multigraph is a
+    # reached minor; an expansion yields at most two minors
+    assert len(expanded[0]) == len(edges)
+    assert set(expanded[1:]) == set(reached) - {()}
+    assert len(reached) <= 2 * len(expanded)
 
 
 def test_tutte_matches_networkx():
@@ -353,18 +358,38 @@ def test_specializations_sweep_a_connected_map_once(monkeypatch, tb2, sl, theta)
         assert len(swept) == sweeps, m
 
 
-def test_threads_match_sequential(capsys, tmp_path, theta):
-    # --threads has no effect; it is still accepted, and the output is the same
-    big = theta
-    for _ in range(2):
-        big = big.disjoint_union(theta)  # 9 edges total
-    path = tmp_path / "big.map"
-    path.write_text(serialize_map(big))
-    outs = []
-    for threads in ("1", "3"):
-        assert main(["--threads", threads, "poly", str(path)]) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1] == p_bruteforce(big).to_canonical_string() + "\n"
+def test_threads_option_is_refused(capsys, data_dir):
+    # --threads had no effect and is gone; argparse refuses it with exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "poly", str(data_dir / "theta.map")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def path_map(n_edges: int) -> CombinatorialMap:
+    """A path on the sphere: edge i has dart 2i+1 at vertex i and dart 2i+2
+    at vertex i+1."""
+    sigma = {1: 1, 2 * n_edges: 2 * n_edges}
+    for d in range(2, 2 * n_edges, 2):
+        sigma[d], sigma[d + 1] = d + 1, d
+    alpha = {d: d + 1 if d % 2 else d - 1 for d in range(1, 2 * n_edges + 1)}
+    return CombinatorialMap(sigma, alpha, 0)
+
+
+def test_contraction_deletion_needs_no_call_stack():
+    # every edge of a path is a bridge, so contraction-deletion goes 400
+    # minors deep; neither evaluator may spend a call frame on each
+    m = path_map(400)
+    expected = (1 + L.variable("X")) ** 400
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        p = p_recursive(m, cap=None)
+        t = tutte(*abstract_graph(m), cap=None)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert p == expected
+    assert t == expected
 
 
 def test_duality_on_a_24_edge_map():
