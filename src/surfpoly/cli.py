@@ -301,6 +301,17 @@ def cmd_corpus(args) -> int:
     return 0
 
 
+class _RemovedOption(argparse.Action):
+    """A removed option, kept only to refuse it by name: without it,
+    ``--threads 2 poly`` would read ``2`` as the subcommand."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs="?", help=argparse.SUPPRESS)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} was removed: every command runs in one process")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="surfpoly",
@@ -321,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap", type=int, default=DEFAULT_CAP, help=f"state-sum size cap (default {DEFAULT_CAP})"
     )
     parser.add_argument("--seed", type=int, default=2024, help="corpus seed")
+    parser.add_argument("--threads", action=_RemovedOption)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_, file_arg=True):

@@ -7,8 +7,14 @@ interleaving on a one-vertex reduction, symplectic orthogonal complements,
 the subgroup-coefficient polynomial, and the subgroup-level duality check
 through the radial map.
 
-All arithmetic is exact: subspaces are canonical RREF matrices over
-`fractions.Fraction`, and classes of integral cycles are integers.
+All arithmetic is exact and elimination is fraction-free (Bareiss, Math.
+Comp. 1968): rows are scaled to integers, cross-multiplied, and divided by
+their gcd, so a subspace is held as its RREF with each row scaled to a
+primitive integer row.  `fractions.Fraction` appears only where a rational
+result is asked for: `Subspace.basis` (the canonical RREF, which orders and
+prints subspaces), `rref`'s one final division by the pivots, and
+`project_chain` of a rational chain.  Classes of integral cycles are
+integers.
 
 Coordinates: a spanning forest of the host is contracted, leaving one vertex
 per component so that every 1-chain is a cycle; H1 coordinates are the free
@@ -22,7 +28,10 @@ reduction each loop meets the face boundaries once with +1 and once with -1,
 so the face-loop matrix is the incidence matrix of a directed graph, totally
 unimodular, and its RREF has entries in {-1, 0, 1} (`_build` checks this).
 V(H) is spanned by the classes of the cycles that one potential union-find
-pass over H's edges closes (`_cycles`), each class packed into one int.
+pass over H's edges closes (`_cycles`), each class packed into one int.  A
+state sum over all 2^e subgraphs runs the same union-find depth first over
+the masks (`_walk`), undoing a union by deleting its one entry, and keeps
+each span as an id into a table of interned subspaces (`_Spans`).
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, InternalInvariantError, RadicalNotBoundaries
@@ -40,31 +50,52 @@ from .report import PolynomialReport, Verdict
 
 Vector = tuple[Fraction, ...]
 Class = tuple[int, ...]  # an integral H1 class
-Chain = dict[int, Fraction]  # edge id -> coefficient
+Chain = dict[int, int]  # edge id -> integer coefficient
+Link = tuple[int, int, int]  # (tail, head, packed class) of an edge
+SideLink = tuple[int, int, int, int]  # (side, tail, head, packed class), see _walk
 
 
 # -- exact linear algebra ----------------------------------------------------
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+def _integral(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
+    """Each row scaled by the lcm of its denominators to an integer row."""
+    out = []
+    for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
+        row = [Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def _eliminate(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Returns the nonzero rows and their pivot columns.  Each row is primitive
+    with a positive pivot and is zero in the other rows' pivot columns, so
+    dividing it by its pivot gives the RREF row: the rows are a canonical
+    form of the row space.
+    """
     pivots: list[int] = []
     r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][col]
-        if inv != 1:
-            mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[r])]
+        prow = mat[pivot]
+        g = gcd(*prow) if prow[col] > 0 else -gcd(*prow)
+        if g != 1:
+            prow = [x // g for x in prow]
+        mat[pivot], mat[r] = mat[r], prow
+        p = prow[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if f and i != r:
+                row = [p * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                mat[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
         r += 1
         if r == len(mat):
@@ -72,68 +103,81 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     return mat[:r], pivots
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel {x : M x = 0}."""
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).  The
+    elimination runs on integers; each row is divided by its pivot once, at
+    the end."""
+    red, pivots = _eliminate(_integral(rows))
+    return [[Fraction(x, row[pc]) for x in row] for row, pc in zip(red, pivots)], pivots
+
+
+def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[list[int]]:
+    """An integer basis of the right kernel {x : M x = 0}: one vector per
+    free column, the RREF one scaled by the lcm of the pivots."""
+    red, pivots = _eliminate(_integral(rows))
+    scale = lcm(*(row[pc] for row, pc in zip(red, pivots)))
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+    for fc in sorted(set(range(ncols)).difference(pivots)):
+        vec = [0] * ncols
+        vec[fc] = scale
         for row, pc in zip(red, pivots):
-            vec[pc] = -row[fc]
+            vec[pc] = -row[fc] * (scale // row[pc])
         basis.append(vec)
     return basis
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of H1 in canonical reduced-row-echelon form; equality of
-    subspaces is equality of the frozen basis matrices."""
+    """A subspace of H1, held as the rows of :func:`_eliminate`: its RREF
+    with each row scaled to a primitive integer row.  These rows are
+    canonical, so equality and hashing are on them; ``basis`` is the RREF
+    over ``Fraction``."""
 
     ambient: int
-    basis: tuple[Vector, ...]
+    rows: tuple[Class, ...]
 
     @classmethod
-    def from_vectors(cls, vectors: Iterable[Sequence[Fraction]], ambient: int) -> "Subspace":
-        rows = [list(v) for v in vectors]
+    def from_vectors(cls, vectors: Iterable[Sequence[Fraction | int]], ambient: int) -> "Subspace":
+        rows = _integral(vectors)
         for v in rows:
             if len(v) != ambient:
                 raise DimensionMismatch(f"vector length {len(v)} != ambient {ambient}")
-        red, _ = rref(rows)
-        return cls(ambient, tuple(tuple(r) for r in red))
+        red, _ = _eliminate(rows)
+        return cls(ambient, tuple(map(tuple, red)))
+
+    @cached_property
+    def basis(self) -> tuple[Vector, ...]:
+        """The canonical RREF basis over ``Fraction``."""
+        out = []
+        for row in self.rows:
+            p = next(filter(None, row))
+            out.append(tuple(Fraction(x, p) for x in row))
+        return tuple(out)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, self.rows))
 
     def intersection(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise DimensionMismatch("ambient dimensions differ")
         k, m = self.dim, other.dim
         if k == 0 or m == 0:
-            return Subspace.from_vectors([], self.ambient)
+            return Subspace(self.ambient, ())
         # lambda*A = mu*B  <=>  (lambda, mu) in ker [A^T | -B^T]
-        rows = []
-        for i in range(self.ambient):
-            rows.append(
-                [self.basis[j][i] for j in range(k)]
-                + [-other.basis[j][i] for j in range(m)]
-            )
-        vectors = []
-        for sol in nullspace(rows, k + m):
-            vec = [Fraction(0)] * self.ambient
-            for j in range(k):
-                if sol[j]:
-                    vec = [a + sol[j] * b for a, b in zip(vec, self.basis[j])]
-            vectors.append(vec)
+        a, b = self.rows, other.rows
+        rows = [[r[i] for r in a] + [-r[i] for r in b] for i in range(self.ambient)]
+        vectors = [
+            [sum(x * r[i] for x, r in zip(sol, a) if x) for i in range(self.ambient)]
+            for sol in nullspace(rows, k + m)
+        ]
         return Subspace.from_vectors(vectors, self.ambient)
 
     def __str__(self) -> str:
@@ -155,11 +199,11 @@ def orthogonal_complement(v: Subspace, sp: SymplecticSpace) -> Subspace:
         raise DimensionMismatch(
             f"subspace ambient {v.ambient} != symplectic dimension {sp.dimension}"
         )
-    rows = []
-    for b in v.basis:
-        rows.append(
-            [sum(x * sp.gram[i][j] for i, x in enumerate(b) if x) for j in range(sp.dimension)]
-        )
+    gram = sp.gram
+    rows = [
+        [sum(x * gram[i][j] for i, x in enumerate(b) if x) for j in range(sp.dimension)]
+        for b in v.rows
+    ]
     return Subspace.from_vectors(nullspace(rows, sp.dimension), sp.dimension)
 
 
@@ -204,10 +248,9 @@ class SurfaceHomology:
         self.loop_index = {e: i for i, e in enumerate(self.loops)}
 
         boundary_rows = [self._face_boundary(cyc) for cyc in reduced.face_cycles]
-        rows, self.boundary_pivots = rref(boundary_rows)
-        if any(x.denominator != 1 for row in rows for x in row):
+        self.boundary_rref, self.boundary_pivots = _eliminate(boundary_rows)
+        if any(row[pc] != 1 for row, pc in zip(self.boundary_rref, self.boundary_pivots)):
             raise InternalInvariantError("face boundary RREF is not integral")
-        self.boundary_rref = [list(map(int, row)) for row in rows]
         free = [c for c in range(len(self.loops)) if c not in self.boundary_pivots]
         self.free_cols = free
         if len(free) != self.dim:
@@ -219,6 +262,7 @@ class SurfaceHomology:
             self.edge_class[self.loops[c]] = tuple(int(i == j) for i in range(self.dim))
         for row, pc in zip(self.boundary_rref, self.boundary_pivots):
             self.edge_class[self.loops[pc]] = tuple(-row[c] for c in free)
+        self.packed = {e: _pack(cls) for e, cls in self.edge_class.items()}
 
         omega = self._chord_pairing()
         for row in self.boundary_rref:
@@ -232,16 +276,16 @@ class SurfaceHomology:
             tuple(omega[i][j] for j in free) for i in free
         )
         self.form = SymplecticSpace(self.dim, gram)
-        rank = len(rref([[Fraction(x) for x in row] for row in gram])[0])
+        rank = len(_eliminate([list(row) for row in gram])[0])
         if rank != self.dim:
             raise InternalInvariantError("intersection form is degenerate")
 
-    def _face_boundary(self, face_cycle: tuple[int, ...]) -> list[Fraction]:
+    def _face_boundary(self, face_cycle: tuple[int, ...]) -> list[int]:
         """Boundary of a reduced-map face as a vector over loop edges; a face
         walk traverses dart d away from its vertex, so d contributes +e when
         it is the edge's orientation dart (the smaller one)."""
         red = self.reduced
-        vec = [Fraction(0)] * len(self.loops)
+        vec = [0] * len(self.loops)
         for d in face_cycle:
             e = red.edge_of(d)
             vec[self.loop_index[e]] += 1 if d == e else -1
@@ -288,6 +332,17 @@ class SurfaceHomology:
                     vec[i] += coeff * x
         return tuple(vec)
 
+    def chain_class(self, chain: Mapping[int, int]) -> int:
+        """Packed class (see `_pack`) of a cycle given as an integral chain
+        over host edges."""
+        total = 0
+        for e, coeff in chain.items():
+            cls = self.packed.get(e)
+            if cls is None:
+                raise InternalInvariantError(f"unknown edge {e} in chain")
+            total += coeff * cls
+        return total
+
     def is_trivial(self, chain: Mapping[int, Fraction | int]) -> bool:
         return not any(self.project_chain(chain))
 
@@ -316,13 +371,13 @@ def intersection_form(m: CombinatorialMap) -> SymplecticSpace:
 _WIDTH = 64  # bits per coordinate of a packed class
 
 
-def _pack(vec: Sequence[Fraction | int]) -> int:
+def _pack(vec: Sequence[int]) -> int:
     """An integral vector as one int, coordinate i in signed field i.  Sums
     of packed vectors stay exact while no coordinate reaches 2^63: entries
     are packed only below 2^32, and a cycle sums fewer than 2^31 of them."""
-    if any(x.denominator != 1 or abs(x) >= 1 << 32 for x in vec):
+    if any(abs(x) >= 1 << 32 for x in vec):
         raise InternalInvariantError(f"{vec} is not a small integral vector")
-    return sum(int(x) << (_WIDTH * i) for i, x in enumerate(vec))
+    return sum(x << (_WIDTH * i) for i, x in enumerate(vec))
 
 
 def _unpack(x: int, dim: int) -> Class:
@@ -333,7 +388,7 @@ def _unpack(x: int, dim: int) -> Class:
     return tuple(out)
 
 
-def _cycles(edges: Iterable[tuple[int, int, int]]) -> Iterator[int]:
+def _cycles(edges: Iterable[Link]) -> Iterator[int]:
     """The packed class of the cycle each (tail, head, packed class) edge
     closes with the forest of the edges before it, in edge order.  In the
     union-find ``up[x]`` holds x's parent and the class of the path from the
@@ -355,6 +410,95 @@ def _cycles(edges: Iterable[tuple[int, int, int]]) -> Iterator[int]:
             yield cls
 
 
+class _Spans:
+    """Interned subspaces of one H1, each known by its index in ``spaces``.
+    ``extend`` memoises the span of a subspace and one more packed class."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.spaces: list[Subspace] = []
+        self.index: dict[Subspace, int] = {}
+        self._ext: list[dict[int, int]] = []
+        self.add(Subspace(dim, ()))
+
+    def add(self, v: Subspace) -> int:
+        i = self.index.setdefault(v, len(self.spaces))
+        if i == len(self.spaces):
+            self.spaces.append(v)
+            self._ext.append({})
+        return i
+
+    def extend(self, i: int, x: int) -> int:
+        j = self._ext[i].get(x)
+        if j is None:
+            rows = [*self.spaces[i].rows, _unpack(x, self.dim)]
+            j = self._ext[i][x] = self.add(Subspace.from_vectors(rows, self.dim))
+        return j
+
+
+def _walk(
+    base: Iterable[SideLink], steps: Sequence[tuple[Sequence[SideLink], Sequence[SideLink]]],
+    spans: _Spans, sides: int = 1,
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The spans that every mask over ``steps`` closes, masks in increasing
+    order.
+
+    A link (side, tail, head, packed class) joins two nodes of one potential
+    union-find, as in `_cycles`; a link that closes a cycle extends its
+    side's span by the cycle's class and adds one to the side's nullity.
+    The ``base`` links are applied once; then step i applies its out links
+    (bit i clear) or its in links (bit i set).  The walk goes depth first
+    from the top bit, out before in, keeping one frame per decided bit; a
+    union is one insertion into ``up``, undone by deleting it.  Yields
+    (mask, state), where state[2s] is side s's span id in ``spans`` and
+    state[2s + 1] its nullity.
+    """
+    up: dict[int, tuple[int, int]] = {}
+    extend = spans.extend
+
+    def apply(links, state: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]]:
+        added = []
+        for side, u, w, cls in links:
+            while u in up:
+                u, off = up[u]
+                cls += off
+            while w in up:
+                w, off = up[w]
+                cls -= off
+            if u != w:
+                up[w] = (u, cls)
+                added.append(w)
+            else:
+                s = 2 * side
+                state = (*state[:s], extend(state[s], cls), state[s + 1] + 1, *state[s + 2:])
+        return added, state
+
+    state = apply(base, (0, 0) * sides)[1]
+    n = len(steps)
+    trail: list[tuple[list[int], tuple[int, ...]]] = []  # bit n-1-j's unions and state above
+    mask = 0
+    while True:
+        for i in range(n - 1 - len(trail), -1, -1):
+            added, below = apply(steps[i][0], state)
+            trail.append((added, state))
+            state = below
+        yield mask, state
+        while trail:
+            added, state = trail.pop()
+            for w in added:
+                del up[w]
+            i = n - 1 - len(trail)
+            if not mask >> i & 1:
+                mask |= 1 << i
+                added, below = apply(steps[i][1], state)
+                trail.append((added, state))
+                state = below
+                break
+            mask ^= 1 << i
+        else:
+            return
+
+
 def fundamental_cycles(
     graph: EmbeddedSubgraph, h_edges: Iterable[int]
 ) -> list[Chain]:
@@ -363,34 +507,20 @@ def fundamental_cycles(
     h = sorted(set(h_edges))
     units = [(*graph.host.edge_endpoints(e), 1 << (_WIDTH * i)) for i, e in enumerate(h)]
     return [
-        {e: Fraction(x) for e, x in zip(h, _unpack(c, len(h))) if x}
+        {e: x for e, x in zip(h, _unpack(c, len(h))) if x}
         for c in _cycles(units)
     ]
 
 
-def _span(classes: Iterable[int], dim: int, memo: dict) -> Subspace:
-    """The span of packed classes.  ``memo`` maps each set of nonzero
-    classes, and each subspace, to the one object kept per distinct
-    subspace: a span is built once per set, and equal spans are identical."""
-    key = frozenset(filter(None, classes))
-    v = memo.get(key)
-    if v is None:
-        v = Subspace.from_vectors([_unpack(x, dim) for x in key], dim)
-        v = memo[key] = memo.setdefault(v, v)
-    return v
-
-
-def _cycle_span(edges: Iterable[tuple[int, int, int]], dim: int, memo: dict) -> tuple[Subspace, int]:
+def _cycle_span(edges: Iterable[Link], dim: int) -> tuple[Subspace, int]:
     """V(H) from H's (tail, head, packed class) edges, and H's nullity."""
-    cycles = list(_cycles(edges))
-    return _span(cycles, dim, memo), len(cycles)
+    cycles = [_unpack(x, dim) for x in _cycles(edges)]
+    return Subspace.from_vectors(cycles, dim), len(cycles)
 
 
-def _packed_edges(
-    ends: CombinatorialMap, classes: Mapping[int, Sequence[Fraction | int]], edges: Iterable[int]
-) -> list[tuple[int, int, int]]:
+def _links(ends: CombinatorialMap, classes: Mapping[int, int], edges: Iterable[int]) -> list[Link]:
     """(tail, head, packed class) of each edge, tail and head in ``ends``."""
-    return [(*ends.edge_endpoints(e), _pack(classes[e])) for e in edges]
+    return [(*ends.edge_endpoints(e), classes[e]) for e in edges]
 
 
 def image_subspace(
@@ -400,7 +530,7 @@ def image_subspace(
 ) -> tuple[Subspace, int]:
     """V(H) = image of H's cycle space in H1(Σ), and k(H) = n(H) - dim V."""
     hom = hom or SurfaceHomology(graph.host)
-    v, nullity = _cycle_span(_packed_edges(graph.host, hom.edge_class, h_edges), hom.dim, {})
+    v, nullity = _cycle_span(_links(graph.host, hom.packed, h_edges), hom.dim)
     return v, nullity - v.dim
 
 
@@ -417,13 +547,12 @@ def tilde_p(
     """
     subgraphs = scan(graph, cap)
     hom = SurfaceHomology(graph.host)
-    edges = _packed_edges(graph.host, hom.edge_class, graph.sorted_edges)
+    steps = [((), ((0, *link),)) for link in _links(graph.host, hom.packed, graph.sorted_edges)]
     c_g = graph.components_count()
-    spans: dict = {}
-    grouped: dict[Subspace, dict[tuple[int, ...], int]] = {}
-    for mask, inv in subgraphs:
-        v, nullity = _cycle_span((e for i, e in enumerate(edges) if mask >> i & 1), hom.dim, spans)
-        k = nullity - v.dim
+    spans = _Spans(hom.dim)
+    grouped: dict[int, dict[tuple[int, ...], int]] = {}
+    for (_, inv), (_, (v, nullity)) in zip(subgraphs, _walk((), steps, spans), strict=True):
+        k = nullity - spans.spaces[v].dim
         if k != inv.k:
             raise InternalInvariantError(
                 f"kernel mismatch: algebra {k} vs combinatorial {inv.k}"
@@ -431,10 +560,8 @@ def tilde_p(
         exps = (inv.c - c_g, k)
         bucket = grouped.setdefault(v, {})
         bucket[exps] = bucket.get(exps, 0) + 1
-    out = []
-    for v in sorted(grouped, key=lambda s: (s.dim, s.basis)):
-        out.append((v, LaurentPolynomial(("X", "Y"), grouped[v])))
-    return out
+    parts = [(spans.spaces[v], LaurentPolynomial(("X", "Y"), b)) for v, b in grouped.items()]
+    return sorted(parts, key=lambda vp: (vp[0].dim, vp[0].basis))
 
 
 def tilde_p_specialized(parts: list[tuple[Subspace, LaurentPolynomial]], sp: SymplecticSpace) -> LaurentPolynomial:
@@ -484,22 +611,42 @@ def radial_map(
     if radial.total_genus != m.total_genus:
         raise InternalInvariantError("radial map genus mismatch")
 
-    def redge(d: int) -> int:
-        return rv[d]  # rv < rf, so rv(d) is the radial edge id
-
+    # rv < rf, so rv[d] is the id of the radial edge at the corner of d
     primal: dict[int, Chain] = {}
     dualc: dict[int, Chain] = {}
-    one = Fraction(1)
     for e in m.edge_ids:
-        d = e
-        turn = m.sigma[m.alpha[d]]  # phi(d): corner dart at the head, same face
-        chain: Chain = {redge(d): one}
-        chain[redge(turn)] = chain.get(redge(turn), 0) - one
-        primal[e] = {k: v for k, v in chain.items() if v}
-        chain = {redge(m.alpha[d]): one}
-        chain[redge(turn)] = chain.get(redge(turn), 0) - one
-        dualc[e] = {k: v for k, v in chain.items() if v}
+        turn = rv[m.sigma[m.alpha[e]]]  # phi(e): corner dart at the head, same face
+        for chains, start in ((primal, rv[e]), (dualc, rv[m.alpha[e]])):
+            chain = {start: 1}
+            chain[turn] = chain.get(turn, 0) - 1
+            chains[e] = {k: v for k, v in chain.items() if v}
     return radial, primal, dualc
+
+
+def _radial_links(
+    m: CombinatorialMap, dual_m: CombinatorialMap
+) -> tuple[SurfaceHomology, list[Link], list[Link]]:
+    """H1 of m's radial map, and the (tail, head, packed class) of each edge
+    of m in m and of its dual edge in ``dual_m``, in sorted edge order."""
+    radial, primal_chain, dual_chain = radial_map(m)
+    hom = SurfaceHomology(radial)
+    edges = m.edge_ids
+    primal = _links(m, {e: hom.chain_class(primal_chain[e]) for e in edges}, edges)
+    dual = _links(dual_m, {e: hom.chain_class(dual_chain[e]) for e in edges}, edges)
+    return hom, primal, dual
+
+
+def _subgroup_walk(
+    primal: Sequence[Link], dual: Sequence[Link], spans: _Spans
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """`_walk` over H and H* at once: bit i in adds primal edge i to H (side
+    1), bit i out adds dual edge i to H* (side 0).  Dual nodes are
+    complemented (~x < 0), so they never meet the primal ones."""
+    steps = [
+        (((0, ~u, ~w, y),), ((1, *link),))
+        for link, (u, w, y) in zip(primal, dual)
+    ]
+    return _walk((), steps, spans, sides=2)
 
 
 def verify_subgroup_duality(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> PolynomialReport:
@@ -509,34 +656,31 @@ def verify_subgroup_duality(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> Poly
     g_full = EmbeddedSubgraph.full(m)
     subgraphs = scan(g_full, cap)
     dual_m = m.dual()
-    radial, primal_chain, dual_chain = radial_map(m)
-    hom = SurfaceHomology(radial)
     g_dual = EmbeddedSubgraph.full(dual_m)
     # dual edges keep their ids, so H* = the duals of the edges not in H
     # is the mask complement in the dual sweep
     dual_invs = [inv for _, inv in scan(g_dual, cap)]
-    edges = g_full.sorted_edges
-    full = (1 << len(edges)) - 1
-    primal = _packed_edges(m, {e: hom.project_chain(c) for e, c in primal_chain.items()}, edges)
-    dual = _packed_edges(dual_m, {e: hom.project_chain(c) for e, c in dual_chain.items()}, edges)
+    hom, primal, dual = _radial_links(m, dual_m)
+    full = (1 << len(primal)) - 1
     c_g = g_full.components_count()
     c_gs = g_dual.components_count()
-    spans: dict = {}
-    perps: dict[Subspace, Subspace] = {}
+    spans = _Spans(hom.dim)
+    # V(H) id -> (V(H)^perp id, whether dim V(H) + dim V(H)^perp = dim H1)
+    perps: dict[int, tuple[int, bool]] = {}
     verdicts = []
     ok = True
     witness = None
-    for mask, inv_h in subgraphs:
-        v_h, _ = _cycle_span((e for i, e in enumerate(primal) if mask >> i & 1), hom.dim, spans)
-        v_hs, _ = _cycle_span((e for i, e in enumerate(dual) if not mask >> i & 1), hom.dim, spans)
-        perp = perps.get(v_h)
-        if perp is None:
-            perp = orthogonal_complement(v_h, hom.form)
-            perp = perps[v_h] = spans.setdefault(perp, perp)
+    walk = _subgroup_walk(primal, dual, spans)
+    for (mask, inv_h), (_, (v_hs, _, v_h, _)) in zip(subgraphs, walk, strict=True):
+        if v_h not in perps:
+            v = spans.spaces[v_h]
+            w = orthogonal_complement(v, hom.form)
+            perps[v_h] = (spans.add(w), v.dim + w.dim == hom.dim)
+        perp, dims_add_up = perps[v_h]
         inv_hs = dual_invs[full ^ mask]
         if (
             v_hs != perp
-            or v_h.dim + v_hs.dim != hom.dim
+            or not dims_add_up
             or inv_hs.c - c_gs != inv_h.k
             or inv_h.c - c_g != inv_hs.k
         ):

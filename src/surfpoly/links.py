@@ -17,9 +17,9 @@ Thistlethwaite-type identity to hold).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -33,7 +33,7 @@ from .errors import (
     TooManyCrossings,
 )
 from .homology import Chain, Subspace, SurfaceHomology, radial_map
-from .homology import _cycle_span, _pack, _packed_edges, _span
+from .homology import _cycle_span, _links, _Spans, _walk
 from .invariants import DEFAULT_CAP, scan
 from .laurent import LaurentPolynomial
 from .maps import (
@@ -184,58 +184,46 @@ class LinkDiagram:
 
 @dataclass(frozen=True)
 class ResolutionState:
-    """One smoothing choice per crossing (True = type (1) = A) plus the
-    traced curves and their homology data: ``subspace`` is the span of the
-    curve classes in H1 of the surface, r its dimension; k + r = c always."""
+    """One smoothing choice per crossing (True = type (1) = A) and the
+    homology data of the state's curves: ``subspace`` is the span of the
+    curve classes in H1 of the surface, r its dimension; k + r = c always.
+    ``curves`` are traced on first access."""
 
     choices: tuple[bool, ...]
-    curves: tuple[tuple[int, ...], ...]
-    alpha_count: int
-    beta_count: int
     c: int
-    r: int
-    k: int
     subspace: Subspace
+    diagram: LinkDiagram = field(repr=False, compare=False)
 
+    @property
+    def alpha_count(self) -> int:
+        return self.choices.count(True)
 
-def _curve_chain(m: CombinatorialMap, darts: Iterable[int]) -> Chain:
-    chain: Chain = {}
-    for d in darts:
-        e = m.edge_of(d)
-        chain[e] = chain.get(e, Fraction(0)) + (1 if d == e else -1)
-    return {e: c for e, c in chain.items() if c}
+    @property
+    def beta_count(self) -> int:
+        return self.choices.count(False)
 
+    @property
+    def r(self) -> int:
+        return self.subspace.dim
 
-def states(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[ResolutionState]:
-    """All 2^n resolutions with curve counts and homology ranks."""
-    n = diagram.n_crossings
-    if cap is not None and n > cap:
-        raise TooManyCrossings(f"{n} crossings exceeds cap {cap}")
-    base = diagram.base
-    alpha = base.alpha
-    surf = diagram.surface_map
-    hom = SurfaceHomology(surf)
-    dart_class = {d: _pack(hom.project_chain(_curve_chain(base, (d,)))) for d in base.darts}
-    free_classes = [
-        _pack(hom.project_chain(_curve_chain(surf, walk))) for walk in diagram.free_loops
-    ]
-    smoothings = []
-    for v in diagram.crossings:
-        o1, o2 = sorted(diagram.over[v])
-        s1, s2 = base.sigma[o1], base.sigma[o2]
-        smoothings.append((((o1, s2), (o2, s1)), ((o1, s1), (o2, s2))))
-    spans: dict = {}
-    for mask in range(1 << n):
-        choices = tuple(bool(mask >> i & 1) for i in range(n))
+    @property
+    def k(self) -> int:
+        return self.c - self.subspace.dim
+
+    @cached_property
+    def curves(self) -> tuple[tuple[int, ...], ...]:
+        """The curves as dart cycles (dart, then the dart its edge leads to
+        through the smoothing, ...), in order of their least dart, each
+        traced from that dart; free loops are not listed."""
+        base = self.diagram.base
+        alpha = base.alpha
         tau: dict[int, int] = {}
-        for pairs, choice in zip(smoothings, choices):
-            for x, y in pairs[choice]:
+        for smoothing, choice in zip(_smoothings(self.diagram), self.choices):
+            for x, y in smoothing[choice]:
                 tau[x] = y
                 tau[y] = x
-        # curves in order of their least dart, each traced from that dart
         seen: set[int] = set()
         curves = []
-        classes = list(free_classes)
         for start in base.darts:
             if start in seen:
                 continue
@@ -244,20 +232,70 @@ def states(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[ResolutionS
                 cycle.append(d)
             seen.update(cycle, map(alpha.get, cycle))
             curves.append(tuple(cycle))
-            classes.append(sum(map(dart_class.get, cycle)))
-        c = len(curves) + len(diagram.free_loops)
-        subspace = _span(classes, hom.dim, spans)
-        a_count = sum(choices)
-        yield ResolutionState(
-            choices=choices,
-            curves=tuple(curves),
-            alpha_count=a_count,
-            beta_count=n - a_count,
-            c=c,
-            r=subspace.dim,
-            k=c - subspace.dim,
-            subspace=subspace,
-        )
+        return tuple(curves)
+
+
+def _curve_chain(m: CombinatorialMap, darts: Iterable[int]) -> Chain:
+    chain: Chain = {}
+    for d in darts:
+        e = m.edge_of(d)
+        chain[e] = chain.get(e, 0) + (1 if d == e else -1)
+    return {e: c for e, c in chain.items() if c}
+
+
+def _smoothings(diagram: LinkDiagram) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
+    """Per crossing, the dart pairs that its type-(2) and its type-(1)
+    smoothing join."""
+    sigma = diagram.base.sigma
+    out = []
+    for v in diagram.crossings:
+        o1, o2 = sorted(diagram.over[v])
+        s1, s2 = sigma[o1], sigma[o2]
+        out.append((((o1, s2), (o2, s1)), ((o1, s1), (o2, s2))))
+    return out
+
+
+_BYTE_CHOICES = [tuple(bool(byte >> i & 1) for i in range(8)) for byte in range(256)]
+
+
+def _choices(mask: int, n: int) -> tuple[bool, ...]:
+    """Bits 0 .. n-1 of ``mask`` as booleans, eight at a time."""
+    out = _BYTE_CHOICES[mask & 255]
+    for shift in range(8, n, 8):
+        out += _BYTE_CHOICES[mask >> shift & 255]
+    return out[:n]
+
+
+def states(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[ResolutionState]:
+    """All 2^n resolutions with curve counts and homology ranks, lazily, in
+    increasing order of the mask whose bit i is the choice at crossing i.
+
+    The cap is checked at the call.  The states come from one `_walk` over
+    a union-find of darts: an edge links its two darts with the class of
+    the edge, a smoothing links the darts it joins with class 0, so each
+    curve is a cycle, closed by exactly one link whose potential sum is
+    the curve's class.  Each free loop is a link that closes at once.
+    """
+    n = diagram.n_crossings
+    if cap is not None and n > cap:
+        raise TooManyCrossings(f"{n} crossings exceeds cap {cap}")
+    base = diagram.base
+    surf = diagram.surface_map
+    hom = SurfaceHomology(surf)
+    links = [
+        (0, ~i, ~i, hom.chain_class(_curve_chain(surf, walk)))
+        for i, walk in enumerate(diagram.free_loops)
+    ]
+    links += [(0, e, base.alpha[e], hom.packed[e]) for e in base.edge_ids]
+    steps = [
+        tuple([(0, x, y, 0) for x, y in pairs] for pairs in smoothing)
+        for smoothing in _smoothings(diagram)
+    ]
+    spans = _Spans(hom.dim)
+    return (
+        ResolutionState(_choices(mask, n), c, spans.spaces[v], diagram)
+        for mask, (v, c) in _walk(links, steps, spans)
+    )
 
 
 def kauffman(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> LaurentPolynomial:
@@ -266,12 +304,8 @@ def kauffman(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> LaurentPolynomial:
     Setting Z = d and dividing by d gives the classical bracket of the
     underlying virtual link.
     """
-    return _bracket_of(states(diagram, cap=cap))
-
-
-def _bracket_of(sts: Iterable[ResolutionState]) -> LaurentPolynomial:
     terms: dict[tuple[int, int, int, int], int] = {}
-    for st in sts:
+    for st in states(diagram, cap=cap):
         key = (st.alpha_count, st.beta_count, st.k, st.r)
         terms[key] = terms.get(key, 0) + 1
     return LaurentPolynomial(_KVARS, terms)
@@ -415,7 +449,7 @@ def tait_graph(diagram: LinkDiagram) -> TaitGraph:
         chain: Chain = {}
         for o, sign in ((o1, 1), (o2, -1)):
             for e, coeff in _face_path_to_corner(base, o).items():
-                chain[e] = chain.get(e, Fraction(0)) + sign * coeff
+                chain[e] = chain.get(e, 0) + sign * coeff
         edge_chain[o1] = {e: c for e, c in chain.items() if c}
     return TaitGraph(
         graph=EmbeddedSubgraph.full(g_map),
@@ -437,7 +471,7 @@ def _face_path_to_corner(m: CombinatorialMap, corner_dart: int) -> Chain:
         if d == corner_dart:
             return {e: c for e, c in chain.items() if c}
         e = m.edge_of(d)
-        chain[e] = chain.get(e, Fraction(0)) + (1 if d == e else -1)
+        chain[e] = chain.get(e, 0) + (1 if d == e else -1)
     raise InternalInvariantError(f"dart {corner_dart} not on face {fid}")
 
 
@@ -449,8 +483,8 @@ def tait_cycle_classes(
 ) -> Subspace:
     """V(H) of a Tait spanning subgraph, expressed in the diagram surface's
     H1 coordinates through the per-edge base chains."""
-    classes = {e: hom.project_chain(tait.edge_base_chain[e]) for e in h_edges}
-    return _cycle_span(_packed_edges(tait.map, classes, classes), hom.dim, {})[0]
+    classes = {e: hom.chain_class(tait.edge_base_chain[e]) for e in h_edges}
+    return _cycle_span(_links(tait.map, classes, classes), hom.dim)[0]
 
 
 # -- the Thistlethwaite-type identity ---------------------------------------------
@@ -466,9 +500,31 @@ def verify_thistlethwaite(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Polyn
     c = g_map.n_components
     e = g_map.n_edges
     n = e - v + c
-    sts = list(states(diagram, cap=cap))
-    k_poly = _bracket_of(sts)
+    sts = states(diagram, cap=cap)
     p = p_bruteforce(tait.graph, cap=cap)
+    # The states stream by; each is checked against its Tait subgraph, the
+    # edges of its type-(1) crossings, and the witness is the least failing
+    # subgraph mask.
+    tait_invs = [inv for _, inv in scan(tait.graph, cap)]
+    eidx = {e_: i for i, e_ in enumerate(tait.graph.sorted_edges)}
+    bits = [1 << eidx[tait.crossing_edge[x]] for x in diagram.crossings]
+    terms: dict[tuple[int, int, int, int], int] = {}
+    failed: int | None = None
+    for st in sts:
+        mask = sum(compress(bits, st.choices))
+        a_count, b_count, c_s, r = st.alpha_count, st.beta_count, st.c, st.r
+        key = (a_count, b_count, c_s - r, r)
+        terms[key] = terms.get(key, 0) + 1
+        inv = tait_invs[mask]
+        if not (
+            a_count == inv.e
+            and b_count == e - inv.e
+            and c_s == inv.bc
+            and c_s - r == inv.c + inv.k
+            and r == inv.l
+        ) and (failed is None or mask < failed):
+            failed = mask
+    k_poly = LaurentPolynomial(_KVARS, terms)
     mono = LaurentPolynomial.monomial
     bound = p.substitute(
         {
@@ -488,33 +544,11 @@ def verify_thistlethwaite(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Polyn
         )
     ]
 
-    # per-state correspondences against the matching Tait subgraph
-    subgraphs = scan(tait.graph, cap)
-    eidx = {e_: i for i, e_ in enumerate(tait.graph.sorted_edges)}
-    crossings = diagram.crossings
-    state_by_choice = {st.choices: st for st in sts}
-    ok_states = True
-    witness = None
-    for mask, inv in subgraphs:
-        choices = tuple(
-            bool(mask >> eidx[tait.crossing_edge[v_]] & 1) for v_ in crossings
-        )
-        st = state_by_choice[choices]
-        if not (
-            st.alpha_count == inv.e
-            and st.beta_count == e - inv.e
-            and st.c == inv.bc
-            and st.k == inv.c + inv.k
-            and st.r == inv.l
-        ):
-            ok_states = False
-            witness = f"subgraph mask {mask} of {serialize_diagram(diagram)!r}"
-            break
     verdicts.append(
         Verdict(
             "per-state correspondences a(S)=e(H), c(S)=bc(H), k(S)=c(H)+k(H), r(S)=l(H)",
-            ok_states,
-            witness,
+            failed is None,
+            None if failed is None else f"subgraph mask {failed} of {serialize_diagram(diagram)!r}",
         )
     )
     return PolynomialReport(

@@ -216,6 +216,15 @@ def test_cap_refuses_large_maps(capsys, tmp_path, argv):
     assert code == 2 and "error:" in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [["--threads", "2"], ["--threads=2"]], ids=" ".join)
+def test_removed_threads_option_is_named(capsys, data_dir, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "poly", str(data_dir / "theta.map")])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "--threads was removed" in out.err and "invalid choice" not in out.err
+
+
 def test_frontier_state_limit_exits_2(capsys, monkeypatch, data_dir):
     # the package attribute ``surfpoly.invariants`` is the function of that
     # name, so the module is fetched by its full name

@@ -10,11 +10,17 @@ from surfpoly.errors import DimensionMismatch, InternalInvariantError
 from surfpoly.homology import (
     Subspace,
     SurfaceHomology,
+    _cycle_span,
+    _radial_links,
+    _Spans,
+    _subgroup_walk,
     fundamental_cycles,
     image_subspace,
     intersection_form,
+    nullspace,
     orthogonal_complement,
     radial_map,
+    rref,
     symplectic_invariants,
     tilde_p,
     tilde_p_specialized,
@@ -371,7 +377,142 @@ def test_states_and_tait_classes_match_reference_route():
             assert tait_cycle_classes(d, tait, h, hom) == Subspace.from_vectors(pushed, hom.dim)
 
 
-def test_subgroup_duality_detects_swapped_dual_chains(tb2, monkeypatch):
+# -- the Fraction elimination and the per-mask spans that integer
+# elimination and the class walk replaced ------------------------------------
+
+def reference_rref(rows):
+    """The retired reduced row echelon form over Fraction: normalise each
+    pivot row, then clear its column in every other row."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = mat[r][col]
+        if inv != 1:
+            mat[r] = [x / inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def _random_matrix(rng):
+    """Rows drawn from the span of a few random rational generators (so the
+    rank is often below the row count), with zero rows mixed in, and with
+    integral rows often given as ints."""
+    nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
+    gens = [
+        [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(ncols)]
+        for _ in range(rng.randint(0, min(nrows, ncols)))
+    ]
+    rows = []
+    for _ in range(nrows):
+        if not gens or rng.random() < 0.15:
+            rows.append([0] * ncols)
+            continue
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in gens]
+        row = [sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(ncols)]
+        if all(x.denominator == 1 for x in row) and rng.random() < 0.5:
+            row = [int(x) for x in row]
+        rows.append(row)
+    return rows, ncols
+
+
+def test_integer_elimination_matches_fraction_reference():
+    rng = random.Random(305)
+    deficient = 0
+    for _ in range(400):
+        rows, ncols = _random_matrix(rng)
+        red, pivots = reference_rref(rows)
+        deficient += len(red) < len(rows)
+        assert rref(rows) == (red, pivots)
+        v = Subspace.from_vectors(rows, ncols)
+        assert v.basis == tuple(map(tuple, red))
+        assert v == Subspace.from_vectors(red, ncols)
+        kernel = nullspace(rows, ncols)
+        assert all(type(x) is int for vec in kernel for x in vec)
+        assert len(kernel) == ncols - len(pivots)
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows for vec in kernel)
+        free = [c for c in range(ncols) if c not in pivots]
+        for vec, c in zip(kernel, free):
+            assert vec[c] != 0 and not any(vec[f] for f in free if f != c)
+    assert deficient > 100
+
+
+def test_intersection_dimension_formula():
+    rng = random.Random(306)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        a, b = (
+            Subspace.from_vectors(
+                [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))], n
+            )
+            for _ in range(2)
+        )
+        both = a.intersection(b)
+        total = Subspace.from_vectors([*a.basis, *b.basis], n)
+        assert both.dim == a.dim + b.dim - total.dim
+        assert Subspace.from_vectors([*a.basis, *both.basis], n) == a
+        assert Subspace.from_vectors([*b.basis, *both.basis], n) == b
+
+
+def _genus_1_to_3_maps():
+    return [
+        m for g in (1, 2, 3) for m in random_maps_of_genus(3, g, 7, seed=306 + g, min_edges=2 * g)
+    ]
+
+
+def test_class_walk_matches_per_mask_cycle_spans(maps_up_to_4):
+    for m in list(maps_up_to_4) + _genus_1_to_3_maps():
+        hom, primal, dual = _radial_links(m, m.dual())
+        spans = _Spans(hom.dim)
+        masks = 0
+        walk = _subgroup_walk(primal, dual, spans)
+        for expected, (mask, (v_hs, n_hs, v_h, n_h)) in enumerate(walk):
+            assert mask == expected
+            h = [link for i, link in enumerate(primal) if mask >> i & 1]
+            hs = [link for i, link in enumerate(dual) if not mask >> i & 1]
+            assert (spans.spaces[v_h], n_h) == _cycle_span(h, hom.dim)
+            assert (spans.spaces[v_hs], n_hs) == _cycle_span(hs, hom.dim)
+            masks += 1
+        assert masks == 1 << m.n_edges
+
+
+def first_failing_mask(m):
+    """Subgroup duality checked one mask at a time, each V(H) and V(H*) from
+    its own union-find pass: the least mask that fails, or None."""
+    dual_m = m.dual()
+    hom, primal, dual = _radial_links(m, dual_m)
+    g, g_dual = EmbeddedSubgraph.full(m), EmbeddedSubgraph.full(dual_m)
+    dual_invs = [inv for _, inv in scan(g_dual, 20)]
+    full = (1 << m.n_edges) - 1
+    for mask, inv_h in scan(g, 20):
+        v_h, _ = _cycle_span([x for i, x in enumerate(primal) if mask >> i & 1], hom.dim)
+        v_hs, _ = _cycle_span([y for i, y in enumerate(dual) if not mask >> i & 1], hom.dim)
+        inv_hs = dual_invs[full ^ mask]
+        if (
+            v_hs != orthogonal_complement(v_h, hom.form)
+            or v_h.dim + v_hs.dim != hom.dim
+            or inv_hs.c - g_dual.components_count() != inv_h.k
+            or inv_h.c - g.components_count() != inv_hs.k
+        ):
+            return mask
+    return None
+
+
+def test_subgroup_duality_detects_swapped_dual_chains(tb2, octagon, monkeypatch):
     real = homology_module.radial_map
 
     def swapped(m):
@@ -380,6 +521,8 @@ def test_subgroup_duality_detects_swapped_dual_chains(tb2, monkeypatch):
         return radial, primal, {**dual, a: dual[b], b: dual[a]}
 
     monkeypatch.setattr(homology_module, "radial_map", swapped)
-    rep = verify_subgroup_duality(tb2)
-    assert not rep.all_passed
-    assert "mask=" in rep.verdicts[0].witness
+    for m in (tb2, octagon, *random_maps_of_genus(2, 2, 7, seed=307, min_edges=6)):
+        rep = verify_subgroup_duality(m)
+        first = first_failing_mask(m)
+        assert not rep.all_passed and first is not None
+        assert rep.verdicts[0].witness == f"map={m!r} mask={first}"

@@ -11,6 +11,7 @@ from surfpoly.errors import (
     NotAlternating,
     NotFourValent,
     OverPairNotOpposite,
+    TooManyCrossings,
 )
 from surfpoly.homology import SurfaceHomology, Subspace, orthogonal_complement
 from surfpoly.laurent import LaurentPolynomial as L
@@ -29,6 +30,7 @@ from surfpoly.links import (
     tilde_kauffman,
     verify_thistlethwaite,
 )
+from surfpoly.corpus import alternating_diagrams
 from surfpoly.maps import canonical_code, random_map
 from surfpoly.polynomials import p_bruteforce
 
@@ -94,6 +96,23 @@ def test_states_examples(tb2):
     assert len(st) == 1 and (st[0].c, st[0].r, st[0].k) == (1, 0, 1)
     st = list(states(parse_diagram(ESSENTIAL)))
     assert len(st) == 1 and (st[0].c, st[0].r, st[0].k) == (1, 1, 0)
+
+
+def test_states_cap_is_checked_at_the_call():
+    d = alternating_diagrams(1, 1, 8, seed=5, min_crossings=8)[0]
+    assert d.n_crossings == 8
+    with pytest.raises(TooManyCrossings):
+        states(d, cap=3)  # raised before anything iterates
+
+
+def test_states_stream_at_twenty_crossings():
+    # 2^20 states: the walk yields the first without building the others
+    d = alternating_diagrams(1, 2, 20, seed=6, min_crossings=20)[0]
+    it = states(d, cap=20)
+    first, second = next(it), next(it)
+    assert first.choices == (False,) * 20
+    assert second.choices == (True,) + (False,) * 19
+    assert first.k + first.r == first.c and second.alpha_count == 1
 
 
 def test_states_trefoil_classical(data_dir):
