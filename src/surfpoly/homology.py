@@ -29,8 +29,8 @@ so the face-loop matrix is the incidence matrix of a directed graph, totally
 unimodular, and its RREF has entries in {-1, 0, 1} (`_build` checks this).
 V(H) is spanned by the classes of the cycles that one potential union-find
 pass over H's edges closes (`_cycles`), each class packed into one int.  A
-state sum over all 2^e subgraphs runs the same union-find depth first over
-the masks (`_walk`), undoing a union by deleting its one entry, and keeps
+state sum over all 2^e subgraphs runs that union-find over the masks
+(`_walk`) on the engine's one walker, `surfpoly.invariants.walk`, and keeps
 each span as an id into a table of interned subspaces (`_Spans`).
 """
 
@@ -43,7 +43,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, InternalInvariantError, RadicalNotBoundaries
-from .invariants import DEFAULT_CAP, scan
+from .invariants import DEFAULT_CAP, scan, walk
 from .laurent import LaurentPolynomial
 from .maps import CombinatorialMap, EmbeddedSubgraph, UnionFind
 from .report import PolynomialReport, Verdict
@@ -441,62 +441,49 @@ def _walk(
     spans: _Spans, sides: int = 1,
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """The spans that every mask over ``steps`` closes, masks in increasing
-    order.
+    order, from one :func:`~surfpoly.invariants.walk`.
 
     A link (side, tail, head, packed class) joins two nodes of one potential
     union-find, as in `_cycles`; a link that closes a cycle extends its
     side's span by the cycle's class and adds one to the side's nullity.
     The ``base`` links are applied once; then step i applies its out links
-    (bit i clear) or its in links (bit i set).  The walk goes depth first
-    from the top bit, out before in, keeping one frame per decided bit; a
-    union is one insertion into ``up``, undone by deleting it.  Yields
-    (mask, state), where state[2s] is side s's span id in ``spans`` and
-    state[2s + 1] its nullity.
+    (bit i clear) or its in links (bit i set).  The n nodes are renumbered
+    densely, so the union-find is one list: node x's parent at ``uf[x]``
+    and the class of the path from that parent to x at ``uf[n + x]``.
+    Yields (mask, state), where state[2s] is side s's span id in ``spans``
+    and state[2s + 1] its nullity.
     """
-    up: dict[int, tuple[int, int]] = {}
+    index: dict[int, int] = {}
+
+    def dense(links: Iterable[SideLink]) -> list[SideLink]:
+        return [
+            (side, index.setdefault(u, len(index)), index.setdefault(w, len(index)), cls)
+            for side, u, w, cls in links
+        ]
+
+    base = dense(base)
+    steps = [(dense(out), dense(in_)) for out, in_ in steps]
+    n = len(index)
     extend = spans.extend
 
-    def apply(links, state: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]]:
-        added = []
+    def apply(uf: list[int], state: tuple[int, ...], links: list[SideLink]) -> tuple[int, ...]:
         for side, u, w, cls in links:
-            while u in up:
-                u, off = up[u]
-                cls += off
-            while w in up:
-                w, off = up[w]
-                cls -= off
+            while uf[u] != u:
+                cls += uf[n + u]
+                u = uf[u]
+            while uf[w] != w:
+                cls -= uf[n + w]
+                w = uf[w]
             if u != w:
-                up[w] = (u, cls)
-                added.append(w)
+                uf[w] = u
+                uf[n + w] = cls
             else:
                 s = 2 * side
                 state = (*state[:s], extend(state[s], cls), state[s + 1] + 1, *state[s + 2:])
-        return added, state
+        return state
 
-    state = apply(base, (0, 0) * sides)[1]
-    n = len(steps)
-    trail: list[tuple[list[int], tuple[int, ...]]] = []  # bit n-1-j's unions and state above
-    mask = 0
-    while True:
-        for i in range(n - 1 - len(trail), -1, -1):
-            added, below = apply(steps[i][0], state)
-            trail.append((added, state))
-            state = below
-        yield mask, state
-        while trail:
-            added, state = trail.pop()
-            for w in added:
-                del up[w]
-            i = n - 1 - len(trail)
-            if not mask >> i & 1:
-                mask |= 1 << i
-                added, below = apply(steps[i][1], state)
-                trail.append((added, state))
-                state = below
-                break
-            mask ^= 1 << i
-        else:
-            return
+    uf = [*range(n), *[0] * n]
+    return enumerate(walk(uf, apply(uf, (0, 0) * sides, base), steps, apply))
 
 
 def fundamental_cycles(
@@ -670,8 +657,8 @@ def verify_subgroup_duality(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> Poly
     verdicts = []
     ok = True
     witness = None
-    walk = _subgroup_walk(primal, dual, spans)
-    for (mask, inv_h), (_, (v_hs, _, v_h, _)) in zip(subgraphs, walk, strict=True):
+    sides = _subgroup_walk(primal, dual, spans)
+    for (mask, inv_h), (_, (v_hs, _, v_h, _)) in zip(subgraphs, sides, strict=True):
         if v_h not in perps:
             v = spans.spaces[v_h]
             w = orthogonal_complement(v, hom.form)

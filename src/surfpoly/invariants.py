@@ -19,10 +19,11 @@ k + l + s = n; the independent linear-algebra computation lives in
 
 Every state sum over the 2^e spanning subgraphs goes through the engine at
 the end of this module: :func:`scan` yields each subgraph with its
-invariants from a depth-first sweep of all 2^e masks, and :func:`histogram`
+invariants from one :func:`walk` over all 2^e masks, and :func:`histogram`
 counts the invariant tuples with a frontier (transfer-matrix) DP that never
 visits a mask; P, BR and P' are read off that count as projections.  The
-engine owns the size cap and the DP's state limit.
+engine owns the size cap, the DP's state limit and :func:`walk`, the one
+depth-first mask walker, which the homology layer's state sums use too.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     InternalInvariantError,
@@ -43,6 +44,8 @@ from .maps import CombinatorialMap, EmbeddedSubgraph
 
 DEFAULT_CAP = 20
 MAX_STATES = 1 << 17  # frontier partitions per DP step; well past this memory runs out
+
+Step = tuple[int, list[tuple[int, int, int]]]  # (code added, links (a, b, weight)), see _link
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,8 @@ class SubgraphScanner:
     dart x links kappa(sigma^-1 x) to kappa(alpha x) if its edge is in H,
     else to kappa(x), so every corner has degree 2 and the classes are the
     boundary circles.  The links of unmarked host edges are applied here
-    once; ``ins[i]``/``outs[i]`` hold those of marked edge i in/out of H.
+    once; ``steps[i]`` holds the out and the in :data:`Step` of marked
+    edge i, the in one adding 1 to the code's e(H) field.
     """
 
     def __init__(self, graph: EmbeddedSubgraph):
@@ -115,39 +119,17 @@ class SubgraphScanner:
             return links
 
         parent = list(range(len(node)))
-        self.base_code = _link(
-            parent, [link for e in host.edge_ids if e not in self.eidx for link in out_links(e)]
-        )
+        unmarked = [link for e in host.edge_ids if e not in self.eidx for link in out_links(e)]
+        self.base_code = _link(parent, 0, (0, unmarked))
         self.base = tuple(parent)
-        self.ins = tuple(map(in_links, self.edges))
-        self.outs = tuple(map(out_links, self.edges))
+        self.steps: tuple[tuple[Step, Step], ...] = tuple(
+            ((0, out_links(e)), (1, in_links(e))) for e in self.edges
+        )
 
     def codes(self) -> array:
-        """Codes of all 2^e subgraphs, in increasing mask order.
-
-        One depth-first walk from the top bit down, out-branch first: each
-        node copies its union-find for the out child and reuses it for the
-        in child.
-        """
-        ins, outs = self.ins, self.outs
-        out = array("q")
-
-        def walk(parent: list[int], code: int, i: int) -> None:
-            child = parent[:]
-            out_code = code + _link(child, outs[i])
-            in_code = code + 1 + _link(parent, ins[i])
-            if i:  # bit 0 appends its two leaves itself: half the calls
-                walk(child, out_code, i - 1)
-                walk(parent, in_code, i - 1)
-            else:
-                out.append(out_code)
-                out.append(in_code)
-
-        if self.edges:
-            walk(list(self.base), self.base_code, len(self.edges) - 1)
-        else:
-            out.append(self.base_code)
-        return out
+        """Codes of all 2^e subgraphs, in increasing mask order, from one
+        :func:`walk` of the union-find ``base`` over ``steps``."""
+        return array("q", walk(list(self.base), self.base_code, self.steps, _link))
 
     def code_counts(self) -> dict[int, int]:
         """How many subgraphs have each code: ``Counter(self.codes())``,
@@ -166,7 +148,8 @@ class SubgraphScanner:
         """
         base = self.base
 
-        def lift(links: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+        def lift(step: Step) -> Step:
+            plus, links = step
             lifted = []
             for a, b, weight in links:
                 while base[a] != a:
@@ -175,37 +158,35 @@ class SubgraphScanner:
                     b = base[b]
                 if a != b:
                     lifted.append((a, b, weight))
-            return lifted
+            return plus, lifted
 
-        todo = {i: (lift(self.outs[i]), lift(self.ins[i])) for i in range(len(self.edges))}
+        todo = {i: tuple(map(lift, pair)) for i, pair in enumerate(self.steps)}
         touch = {
-            i: {x for links in pair for a, b, _ in links for x in (a, b)} for i, pair in todo.items()
+            i: {x for _, links in pair for a, b, _ in links for x in (a, b)}
+            for i, pair in todo.items()
         }
         order, done = [], set()
         while todo:
             i = max(todo, key=lambda j: len(touch[j] & done))  # first max: lowest index
-            order.append((i, *todo.pop(i)))
+            order.append((i, todo.pop(i)))
             done |= touch[i]
-        last = {x: t for t, (i, _, _) in enumerate(order) for x in touch[i]}
+        last = {x: t for t, (i, _) in enumerate(order) for x in touch[i]}
 
         states = {(): {self.base_code: 1}}
         frontier: list[int] = []
-        for t, (i, outs, ins) in enumerate(order):
+        for t, (i, pair) in enumerate(order):
             pos = {x: p for p, x in enumerate(frontier)}
             for x in sorted(touch[i]):
                 pos.setdefault(x, len(pos))
-            branches = [
-                ([(pos[a], pos[b], w) for a, b, w in outs], 0),
-                ([(pos[a], pos[b], w) for a, b, w in ins], 1),
-            ]
+            branches = [(plus, [(pos[a], pos[b], w) for a, b, w in links]) for plus, links in pair]
             keep = [p for p, x in enumerate(pos) if last[x] > t]
             fresh = range(len(frontier), len(pos))
             frontier = [x for x in pos if last[x] > t]
             nxt: dict[tuple[int, ...], dict[int, int]] = {}
             for state, counts in states.items():
-                for links, plus in branches:
+                for branch in branches:
                     parent = [*state, *fresh]
-                    gained = plus + _link(parent, links)
+                    gained = _link(parent, 0, branch)
                     first = {}
                     key = []
                     for j, p in enumerate(keep):
@@ -254,8 +235,8 @@ class SubgraphScanner:
 
     def invariants_of_mask(self, mask: int) -> SubgraphInvariants:
         parent, code = list(self.base), self.base_code
-        for i, (outs, ins) in enumerate(zip(self.outs, self.ins)):
-            code += 1 + _link(parent, ins) if mask >> i & 1 else _link(parent, outs)
+        for i, step in enumerate(self.steps):
+            code = _link(parent, code, step[mask >> i & 1])
         return self.decode(code)
 
     def mask_of(self, h_edges: Iterable[int]) -> int:
@@ -275,10 +256,34 @@ def check_cap(n_edges: int, cap: int | None) -> None:
         raise TooManyEdges(f"{n_edges} edges exceeds cap {cap}")
 
 
-def _link(parent: list[int], links: Iterable[tuple[int, int, int]]) -> int:
-    """Apply ``links`` (a, b, weight) to the union-find ``parent``; returns
-    the summed weights of the links that merged two classes."""
-    gained = 0
+def walk(uf: list, acc: Any, steps: Sequence, apply: Callable) -> Iterator[Any]:
+    """The ``acc`` of every mask over ``steps``, in increasing mask order.
+
+    A mask's bit i picks ``steps[i][1]`` (set) or ``steps[i][0]`` (clear);
+    ``apply(uf, acc, branch)`` applies a branch to the list ``uf`` in place
+    and returns the new acc.  The walk goes depth first from the top bit,
+    out child before in child: the out child works on a copy ``uf[:]`` and
+    the in child on ``uf`` itself, so nothing is undone.  It descends along
+    the out children and keeps only the pending in children, one per bit at
+    most, and it yields each leaf as it reaches it.
+    """
+    pending = [(uf, acc, len(steps))]
+    while pending:
+        uf, acc, i = pending.pop()
+        while i:
+            i -= 1
+            out = uf[:]
+            pending.append((uf, apply(uf, acc, steps[i][1]), i))
+            uf, acc = out, apply(out, acc, steps[i][0])
+        yield acc
+
+
+def _link(parent: list[int], code: int, step: Step) -> int:
+    """Apply a :data:`Step` (plus, links) to the union-find ``parent``;
+    returns ``code + plus`` plus the weights of the links (a, b, weight)
+    that merged two classes."""
+    plus, links = step
+    code += plus
     for a, b, weight in links:
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]  # path halving
@@ -286,8 +291,8 @@ def _link(parent: list[int], links: Iterable[tuple[int, int, int]]) -> int:
             parent[b] = b = parent[parent[b]]
         if a != b:
             parent[b] = a
-            gained += weight
-    return gained
+            code += weight
+    return code
 
 
 def scan(

@@ -17,6 +17,7 @@ Thistlethwaite-type identity to hold).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -44,7 +45,7 @@ from .maps import (
     _parse_perm_text,
     _perm_from_cycles,
 )
-from .polynomials import p_bruteforce
+from .polynomials import _p_of
 from .report import PolynomialReport, Verdict
 
 _KVARS = ("A", "B", "d", "Z")
@@ -501,11 +502,11 @@ def verify_thistlethwaite(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Polyn
     e = g_map.n_edges
     n = e - v + c
     sts = states(diagram, cap=cap)
-    p = p_bruteforce(tait.graph, cap=cap)
     # The states stream by; each is checked against its Tait subgraph, the
     # edges of its type-(1) crossings, and the witness is the least failing
-    # subgraph mask.
+    # subgraph mask.  P_G is read off the same sweep of the Tait graph.
     tait_invs = [inv for _, inv in scan(tait.graph, cap)]
+    p = _p_of(Counter(tait_invs))
     eidx = {e_: i for i, e_ in enumerate(tait.graph.sorted_edges)}
     bits = [1 << eidx[tait.crossing_edge[x]] for x in diagram.crossings]
     terms: dict[tuple[int, int, int, int], int] = {}

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from surfpoly.corpus import alternating_diagrams
 from surfpoly.errors import NotSpanning
-from surfpoly.invariants import SubgraphScanner, dual_subgraph, invariants, scan
+from surfpoly.invariants import SubgraphScanner, dual_subgraph, invariants, scan, walk
 from surfpoly.links import tait_graph
 from surfpoly.maps import CombinatorialMap, EmbeddedSubgraph, random_map, standard_alpha
 
@@ -301,3 +302,30 @@ def test_isolated_vertices_enter_counts():
     assert inv.c == 3 and inv.v == 3 and inv.bc == 3
     inv = invariants(g, [1])
     assert inv.c == 3 and inv.n == 1 and inv.k == 1
+
+
+def _decide(uf, acc, branch):
+    """A walk step that records bit i in ``uf`` and ORs it into ``acc``; a
+    bit is decided once on each path, so a list shared between two children
+    trips the assert."""
+    i, bit = branch
+    assert uf[i] is None
+    uf[i] = bit
+    return acc | bit << i
+
+
+def _bits(n):
+    return [((i, 0), (i, 1)) for i in range(n)]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_walk_yields_every_mask_in_order(n):
+    assert list(walk([None] * n, 0, _bits(n), _decide)) == list(range(1 << n))
+
+
+def test_walk_without_steps_yields_the_root_once():
+    assert list(walk([], 5, [], _decide)) == [5]
+
+
+def test_walk_streams():
+    assert list(islice(walk([None] * 40, 0, _bits(40), _decide), 5)) == [0, 1, 2, 3, 4]

@@ -358,3 +358,19 @@ def test_thistlethwaite_sweeps_states_once(data_dir, monkeypatch):
         calls.clear()
         assert verify_thistlethwaite(d).all_passed
         assert len(calls) == 1
+
+
+def test_thistlethwaite_reads_p_off_the_tait_sweep(data_dir, monkeypatch):
+    from surfpoly.invariants import SubgraphScanner
+
+    calls = []
+    real = SubgraphScanner.code_counts
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(SubgraphScanner, "code_counts", counted)
+    for name in ("trefoil.vlk", "torus-alt.vlk"):
+        assert verify_thistlethwaite(parse_diagram((data_dir / name).read_text())).all_passed
+    assert calls == []
