@@ -137,31 +137,39 @@ class LaurentPolynomial:
         bound = {v: _coerce(p) for v, p in bindings.items() if v in self._vars}
         if not bound:
             return self
-        for v in bound:
+        names = tuple(sorted(
+            {v for v in self._vars if v not in bound}.union(*(b._vars for b in bound.values()))
+        ))
+        # Every power of a binding that a term uses, as (exponents, coeff)
+        # pairs over ``names``: a monomial's directly, any other's from the
+        # power below it by one product.
+        lifted: dict[tuple[str, int], list[tuple[tuple[int, ...], int]]] = {}
+        for v, b in bound.items():
             i = self._vars.index(v)
-            exps = {e[i] for e in self._terms}
-            if any(k < 0 for k in exps):
-                b = bound[v]
+            ks = {e[i] for e in self._terms} - {0}
+            if min(ks) < 0:
                 coeff_ok = b.is_monomial() and abs(next(iter(b._terms.values()))) == 1
                 if not coeff_ok:
                     raise NonLaurentResult(
                         f"binding for {v} must be an invertible monomial "
                         f"(it appears with negative exponents)"
                     )
-        # One pass into one dict.  Each power of a binding is lifted once to
-        # (exponents, coeff) pairs; only non-monomial bindings expand a term.
-        names = tuple(sorted(
-            {v for v in self._vars if v not in bound}.union(*(b._vars for b in bound.values()))
-        ))
-        lifted: dict[tuple[str, int], list[tuple[tuple[int, ...], int]]] = {}
+            base = list(_expand(b, names).items())
+            if b.is_monomial():  # a negative k has a +-1 coefficient here
+                (e, c), = base
+                for k in ks:
+                    lifted[v, k] = [(tuple(x * k for x in e), c ** abs(k))]
+                continue
+            lifted[v, 1] = power = base
+            for k in range(2, max(ks) + 1):
+                lifted[v, k] = power = _product(power, base)
+        # One pass into one dict; only non-monomial bindings expand a term.
         total: dict[tuple[int, ...], int] = {}
         for exps, c in self._terms.items():
             free = {v: k for v, k in zip(self._vars, exps) if v not in bound}
             products = [(tuple(free.get(v, 0) for v in names), c)]
             for v, k in zip(self._vars, exps):
                 if k and v in bound:
-                    if (v, k) not in lifted:
-                        lifted[v, k] = list(_expand(bound[v] ** k, names).items())
                     products = [
                         (tuple(map(add, e1, e2)), c1 * c2)
                         for e1, c1 in products
@@ -247,6 +255,19 @@ def _align(a: LaurentPolynomial, b: LaurentPolynomial):
         return a._vars, a._terms, b._terms
     names = tuple(sorted(set(a._vars) | set(b._vars)))
     return names, _expand(a, names), _expand(b, names)
+
+
+def _product(
+    a: list[tuple[tuple[int, ...], int]], b: list[tuple[tuple[int, ...], int]]
+) -> list[tuple[tuple[int, ...], int]]:
+    """The product of two (exponents, coeff) lists over the same names,
+    like terms merged and zeros dropped."""
+    out: dict[tuple[int, ...], int] = {}
+    for e1, c1 in a:
+        for e2, c2 in b:
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return [(e, c) for e, c in out.items() if c]
 
 
 def _expand(p: LaurentPolynomial, names: tuple[str, ...]) -> dict[tuple[int, ...], int]:

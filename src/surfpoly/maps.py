@@ -219,7 +219,12 @@ class CombinatorialMap:
 
     def dual(self) -> "CombinatorialMap":
         """Dual map: vertices are the faces of self, alpha is shared, so
-        edges correspond one to one and dual(dual(m)) == m exactly."""
+        edges correspond one to one and dual(dual(m)) == m exactly.  It is
+        built once per map, so its own derived structure is shared too."""
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> "CombinatorialMap":
         phi = {d: self.phi(d) for d in self.sigma}
         return CombinatorialMap(phi, dict(self.alpha), self.isolated_vertices)
 

@@ -61,13 +61,24 @@ def _p_prime_of(hist: Counter) -> LaurentPolynomial:
     )
 
 
+def _ribbon_histogram(m: CombinatorialMap, cap: int | None) -> Counter:
+    """The histogram of the full ribbon graph of m, counted once per map and
+    kept on it (a map is immutable).  The cap is checked on every call, and
+    a failed count (TooManyStates) leaves nothing behind."""
+    check_cap(m.n_edges, cap)
+    memo = vars(m)
+    if "_ribbon_histogram" not in memo:
+        memo["_ribbon_histogram"] = histogram(EmbeddedSubgraph.full(m), None)
+    return memo["_ribbon_histogram"]
+
+
 def p_bruteforce(
     graph: EmbeddedSubgraph | CombinatorialMap, cap: int = DEFAULT_CAP
 ) -> LaurentPolynomial:
     """The state sum over all 2^e spanning subgraphs, read off the invariant
     histogram, which the frontier DP counts edge by edge."""
     if isinstance(graph, CombinatorialMap):
-        graph = EmbeddedSubgraph.full(graph)
+        return _p_of(_ribbon_histogram(graph, cap))
     return _p_of(histogram(graph, cap))
 
 
@@ -202,13 +213,13 @@ def abstract_graph(graph: EmbeddedSubgraph | CombinatorialMap) -> tuple[list, li
 def bollobas_riordan(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> LaurentPolynomial:
     """BR(X,Y,Z) = sum_H (X-1)^(r(G)-r(H)) Y^n(H) Z^(c(H)-bc(H)+n(H)) over
     spanning subgraphs of the ribbon graph; the Z exponent equals s(H)."""
-    return _br_of(histogram(EmbeddedSubgraph.full(m), cap))
+    return _br_of(_ribbon_histogram(m, cap))
 
 
 def p_prime(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> LaurentPolynomial:
     """Combinatorial variant for ribbon graphs with undoubled exponents:
     sum_H X^(c(H)-c(G)) Y^n(H) A^s(H) B^(s_perp(H))."""
-    return _p_prime_of(histogram(EmbeddedSubgraph.full(m), cap))
+    return _p_prime_of(_ribbon_histogram(m, cap))
 
 
 # -- verifiers ------------------------------------------------------------------
@@ -260,8 +271,8 @@ def verify_specializations(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> Polyn
     through the main duality), the undoubled-variant relation, and component
     multiplicativity."""
     g = m.total_genus
-    # P, BR and P' are read from one sweep over the subgraphs of m
-    hist = histogram(EmbeddedSubgraph.full(m), cap)
+    # P, BR and P' are read from the one histogram kept on m
+    hist = _ribbon_histogram(m, cap)
     p = _p_of(hist)
     y = LaurentPolynomial.variable("Y")
     verdicts = []

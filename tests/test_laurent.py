@@ -157,11 +157,11 @@ def _reference_substitute(p, bindings):
 @st.composite
 def polys_and_bindings(draw):
     """A 3-variable polynomial and bindings of three kinds: integers,
-    +-1-coefficient monomials, and binomials, the last only on variables
-    that occur with nonnegative exponents."""
-    # a variable's exponents lie in [-3, 3] or, so that binomials are drawn
-    # often, in [0, 3]
-    exponents = st.tuples(*(st.integers(draw(st.sampled_from([-3, 0])), 3) for _ in NAMES))
+    +-1-coefficient monomials, and binomials with coefficients up to +-2,
+    the last only on variables that occur with nonnegative exponents."""
+    # a variable's exponents lie in [-8, 8] or, so that binomials are drawn
+    # often, in [0, 8]: substitute builds powers 2 to 8 from the ones below
+    exponents = st.tuples(*(st.integers(draw(st.sampled_from([-8, 0])), 8) for _ in NAMES))
     terms = draw(st.dictionaries(exponents, st.integers(-5, 5), max_size=6))
     p = L(NAMES, terms)
 
@@ -173,13 +173,14 @@ def polys_and_bindings(draw):
     for name in sorted(draw(st.sets(st.sampled_from(NAMES), min_size=1))):
         i = p.variables.index(name) if name in p.variables else None
         nonnegative = i is None or all(e[i] >= 0 for e in p.terms)
-        kind = draw(st.sampled_from(["int", "monomial", "binomial"][: 3 if nonnegative else 2]))
+        kinds = ["int", "monomial", "binomial", "binomial"] if nonnegative else ["int", "monomial"]
+        kind = draw(st.sampled_from(kinds))
         if kind == "int":
             bindings[name] = draw(st.integers(-2, 2))
         elif kind == "monomial":
             bindings[name] = monomial([1, -1])
         else:
-            bindings[name] = monomial([1, -1, 2]) + monomial([1, -1, 2])
+            bindings[name] = monomial([1, -1, 2, -2]) + monomial([1, -1, 2, -2])
     return p, bindings
 
 

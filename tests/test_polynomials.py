@@ -15,7 +15,7 @@ from test_maps import bridges
 
 from surfpoly.cli import main
 from surfpoly.corpus import random_maps
-from surfpoly.errors import TooManyEdges
+from surfpoly.errors import TooManyEdges, TooManyStates
 from surfpoly.homology import SurfaceHomology
 from surfpoly.laurent import LaurentPolynomial as L
 from surfpoly.maps import CombinatorialMap, EmbeddedSubgraph, random_map, serialize_map
@@ -337,9 +337,17 @@ def test_component_maps(tb2, sl):
     assert sorted(c.n_edges for c in comps) == [1, 2]
 
 
+def fresh(m: CombinatorialMap) -> CombinatorialMap:
+    """An equal map with nothing kept on it: no dual and no histogram."""
+    return CombinatorialMap(dict(m.sigma), dict(m.alpha), m.isolated_vertices)
+
+
 def test_specializations_sweep_a_connected_map_once(monkeypatch, tb2, sl, theta):
-    # P of a connected map is its own component product, so only m and its
-    # dual are swept; a disjoint union also sweeps each of its components
+    # a map keeps its one histogram and its one dual, so duality and the
+    # specializations together sweep m and m* once each; P of a connected
+    # map is its own component product, and a disjoint union also sweeps
+    # each of its components.  The maps are fresh copies: a session fixture
+    # may carry a histogram that an earlier test counted.
     poly_mod = importlib.import_module("surfpoly.polynomials")
     real = poly_mod.histogram
     swept = []
@@ -347,16 +355,38 @@ def test_specializations_sweep_a_connected_map_once(monkeypatch, tb2, sl, theta)
         poly_mod, "histogram", lambda graph, *a, **k: swept.append(graph) or real(graph, *a, **k)
     )
     for m, sweeps in [
-        (tb2, 2),
-        (theta, 2),
-        (tb2.disjoint_union(sl), 2 + 2),
-        (theta.disjoint_union(sl).disjoint_union(tb2), 2 + 3),
+        (fresh(tb2), 2),
+        (fresh(theta), 2),
+        (fresh(tb2).disjoint_union(sl), 2 + 2),
+        (fresh(theta).disjoint_union(sl).disjoint_union(tb2), 2 + 3),
     ]:
+        assert m.dual() is m.dual()
         swept.clear()
-        rep = verify_specializations(m)
-        assert rep.all_passed, rep.lines()
+        for verify in (verify_duality, verify_specializations):
+            rep = verify(m)
+            assert rep.all_passed, rep.lines()
+        assert len(swept) == sweeps, m
+        # the kept histogram never gets round a smaller cap
+        for fn in (p_bruteforce, bollobas_riordan, p_prime, verify_duality, verify_specializations):
+            with pytest.raises(TooManyEdges):
+                fn(m, cap=m.n_edges - 1)
+        with pytest.raises(TooManyEdges):
+            bollobas_riordan(m.dual(), cap=m.n_edges - 1)
         assert len(swept) == sweeps, m
 
+
+
+def test_a_failed_count_leaves_no_histogram(monkeypatch, theta):
+    # TooManyStates is raised on every call, not kept; once the state limit
+    # is back, the same map is counted
+    engine = importlib.import_module("surfpoly.invariants")
+    m = fresh(theta)
+    monkeypatch.setattr(engine, "MAX_STATES", 1)
+    for _ in range(2):
+        with pytest.raises(TooManyStates):
+            p_bruteforce(m)
+    monkeypatch.undo()
+    assert p_bruteforce(m) == p_bruteforce(fresh(theta))
 
 def test_threads_option_is_refused(capsys, data_dir):
     # --threads had no effect and is gone; argparse refuses it with exit 2
