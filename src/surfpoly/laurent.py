@@ -87,7 +87,7 @@ class LaurentPolynomial:
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
         return LaurentPolynomial(names, out)
 
@@ -140,10 +140,13 @@ class LaurentPolynomial:
         names = tuple(sorted(
             {v for v in self._vars if v not in bound}.union(*(b._vars for b in bound.values()))
         ))
-        # Every power of a binding that a term uses, as (exponents, coeff)
-        # pairs over ``names``: a monomial's directly, any other's from the
-        # power below it by one product.
-        lifted: dict[tuple[str, int], list[tuple[tuple[int, ...], int]]] = {}
+        column = {v: j for j, v in enumerate(names)}
+        # Free columns are copied by index.  A monomial binding, constants
+        # included, maps a term to one term: add k times its sparse exponent
+        # vector and multiply by c^|k|.  Only the other bindings keep every
+        # power a term uses, each built from the one below by one product.
+        free = [(i, column[v]) for i, v in enumerate(self._vars) if v not in bound]
+        monomials, lifted = [], []
         for v, b in bound.items():
             i = self._vars.index(v)
             ks = {e[i] for e in self._terms} - {0}
@@ -154,26 +157,33 @@ class LaurentPolynomial:
                         f"binding for {v} must be an invertible monomial "
                         f"(it appears with negative exponents)"
                     )
-            base = list(_expand(b, names).items())
-            if b.is_monomial():  # a negative k has a +-1 coefficient here
-                (e, c), = base
-                for k in ks:
-                    lifted[v, k] = [(tuple(x * k for x in e), c ** abs(k))]
+            if b.is_monomial():
+                (e, c), = b._terms.items()
+                monomials.append((i, [(column[w], x) for w, x in zip(b._vars, e)], c))
                 continue
-            lifted[v, 1] = power = base
-            for k in range(2, max(ks) + 1):
-                lifted[v, k] = power = _product(power, base)
-        # One pass into one dict; only non-monomial bindings expand a term.
+            powers = [[], list(_expand(b, names).items())]
+            for _ in range(2, max(ks) + 1):
+                powers.append(_product(powers[-1], powers[1]))
+            lifted.append((i, powers))
+        lifted.sort(key=itemgetter(0))  # column order, whatever the bindings' order
         total: dict[tuple[int, ...], int] = {}
         for exps, c in self._terms.items():
-            free = {v: k for v, k in zip(self._vars, exps) if v not in bound}
-            products = [(tuple(free.get(v, 0) for v in names), c)]
-            for v, k in zip(self._vars, exps):
-                if k and v in bound:
+            key = [0] * len(names)
+            for i, j in free:
+                key[j] = exps[i]
+            for i, sparse, bc in monomials:
+                k = exps[i]
+                if k:
+                    for j, x in sparse:
+                        key[j] += k * x
+                    c *= bc ** abs(k)
+            products = [(tuple(key), c)]
+            for i, powers in lifted:
+                if exps[i]:
                     products = [
                         (tuple(map(add, e1, e2)), c1 * c2)
                         for e1, c1 in products
-                        for e2, c2 in lifted[v, k]
+                        for e2, c2 in powers[exps[i]]
                     ]
             for e, coeff in products:
                 total[e] = total.get(e, 0) + coeff
@@ -254,7 +264,7 @@ def _align(a: LaurentPolynomial, b: LaurentPolynomial):
     if a._vars == b._vars:
         return a._vars, a._terms, b._terms
     names = tuple(sorted(set(a._vars) | set(b._vars)))
-    return names, _expand(a, names), _expand(b, names)
+    return names, *(p._terms if p._vars == names else _expand(p, names) for p in (a, b))
 
 
 def _product(

@@ -11,6 +11,7 @@ q/v_e.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Mapping
 
 from .errors import MapFormatError
@@ -109,31 +110,32 @@ def p_bar(
     # sorted, as LaurentPolynomial keeps them, so its terms are not re-keyed
     names = sorted({"q", "A", "B"}.union(*(exps for _, exps in weighting.assigned.values())))
     index = {v: i for i, v in enumerate(names)}
-    iq, ia, ib = index["q"], index["A"], index["B"]
-    nvar = len(names)
-    edge_vecs = []
-    for e in edges:
-        coeff, exps = weighting.weight(e)
-        vec = [0] * nvar
-        for v, k in exps.items():
-            vec[index[v]] = k
-        edge_vecs.append((coeff, tuple(vec)))
+
+    def table(half):
+        """(weight vector, coefficient) of every subset of ``half``, by mask:
+        each edge doubles the table."""
+        rows = [((0,) * len(names), 1)]
+        for e in half:
+            coeff, exps = weighting.weight(e)
+            vec = [0] * len(names)
+            for v, k in exps.items():
+                vec[index[v]] = k
+            rows += [(tuple(map(add, w, vec)), c * coeff) for w, c in rows]
+        return rows
+
+    # two tables of 2^(e/2) rows, not one of 2^e, to keep the memory small
+    h = len(edges) // 2
+    lo, hi, low = table(edges[:h]), table(edges[h:]), (1 << h) - 1
+    invariant_vecs: dict = {}  # the (q, A, B) part of a term, per invariant tuple
     terms: dict[tuple[int, ...], int] = {}
     for mask, inv in subgraphs:
-        vec = [0] * nvar
-        vec[iq] = inv.c
-        vec[ia] = inv.s // 2
-        vec[ib] = inv.s_perp // 2
-        coeff = 1
-        for i in range(len(edges)):
-            if mask >> i & 1:
-                c, ev = edge_vecs[i]
-                coeff *= c
-                for j, k in enumerate(ev):
-                    if k:
-                        vec[j] += k
-        key = tuple(vec)
-        terms[key] = terms.get(key, 0) + coeff
+        d = invariant_vecs.get(inv)
+        if d is None:
+            d = invariant_vecs[inv] = [0] * len(names)
+            d[index["q"]], d[index["A"]], d[index["B"]] = inv.c, inv.s // 2, inv.s_perp // 2
+        (w1, c1), (w2, c2) = lo[mask & low], hi[mask >> h]
+        key = tuple(map(add, map(add, w1, w2), d))
+        terms[key] = terms.get(key, 0) + c1 * c2
     return LaurentPolynomial(tuple(names), terms)
 
 

@@ -199,6 +199,91 @@ def test_substitute_matches_term_by_term_reference(case):
     assert got.to_canonical_string() == expected.to_canonical_string()
 
 
+MONO_NAMES = ("A", "B", "q", "X")
+
+
+@st.composite
+def polys_and_monomial_bindings(draw):
+    """A polynomial over A, B, q, X with exponents in [-4, 4], and bindings
+    that are mostly monomials: the swap A -> B/q, B -> A q, monomials with
+    coefficients 1, -1, 2 or -3, the constants 0, 1, -1 and 2, and now and
+    then a binomial on a variable with nonnegative exponents."""
+    exponents = st.tuples(*(st.integers(draw(st.sampled_from([-4, 0])), 4) for _ in MONO_NAMES))
+    terms = draw(st.dictionaries(exponents, st.integers(-5, 5), max_size=6))
+    p = L(MONO_NAMES, terms)
+
+    def monomial(coeffs):
+        exps = st.dictionaries(st.sampled_from(MONO_NAMES + ("t",)), st.integers(-3, 3), max_size=3)
+        return L.monomial(draw(st.sampled_from(coeffs)), draw(exps))
+
+    bindings = {}
+    if draw(st.booleans()):
+        bindings = {"A": v("B") * v("q") ** -1, "B": v("A") * v("q")}
+    for name in sorted(draw(st.sets(st.sampled_from(MONO_NAMES), min_size=1)) - set(bindings)):
+        nonnegative = name not in p.variables or all(
+            e[p.variables.index(name)] >= 0 for e in p.terms
+        )
+        kind = draw(st.sampled_from(["constant", "unit", "unit", "other", "binomial"]))
+        if kind == "constant":
+            bindings[name] = draw(st.sampled_from([0, 1, -1, 2]))
+        elif kind == "unit":
+            bindings[name] = monomial([1, -1])
+        elif kind == "other" or not nonnegative:
+            bindings[name] = monomial([2, -3])
+        else:
+            bindings[name] = monomial([1, -1, 2]) + monomial([1, -1, -3])
+    return p, bindings
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(polys_and_monomial_bindings())
+def test_monomial_bindings_match_term_by_term_reference(case):
+    p, bindings = case
+    try:
+        expected = _reference_substitute(p, bindings)
+    except NonLaurentResult:
+        # the first binding, in the caller's order, that inverts something
+        # other than a +-1 monomial names the variable
+        culprit = next(
+            name for name, b in bindings.items()
+            if name in p.variables
+            and any(e[p.variables.index(name)] < 0 for e in p.terms)
+            and not (isinstance(b, L) and b.is_monomial() and abs(*b.terms.values()) == 1)
+            and b not in (1, -1)
+        )
+        with pytest.raises(NonLaurentResult) as info:
+            p.substitute(bindings)
+        assert str(info.value) == (
+            f"binding for {culprit} must be an invertible monomial "
+            f"(it appears with negative exponents)"
+        )
+        return
+    got = p.substitute(bindings)
+    assert got == expected
+    assert got.to_canonical_string() == expected.to_canonical_string()
+
+
+def test_product_expands_only_the_side_with_fewer_variables(monkeypatch):
+    import surfpoly.laurent as laurent
+
+    X, Y, Z = v("X"), v("Y"), v("Z")
+    poly = (1 + X + Y * Z ** -1) * (X - Z)
+    mono = L.monomial(-2, {"X": 1, "Z": -3})
+    real = laurent._expand
+    expanded = []
+    monkeypatch.setattr(laurent, "_expand", lambda p, names: expanded.append(p) or real(p, names))
+    expected = L(("X", "Y", "Z"), {
+        tuple(map(sum, zip(e, (1, 0, -3)))): -2 * c for e, c in poly.terms.items()
+    })
+    for left, right in ((mono, poly), (poly, mono)):
+        expanded.clear()
+        assert left * right == expected
+        assert expanded == [mono]
+    expanded.clear()
+    assert (poly + poly * poly) * poly == poly * poly + poly * poly * poly
+    assert expanded == []
+
+
 # -- _normalize against the multi-pass version it replaced ---------------------
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from surfpoly.errors import MapFormatError
+from surfpoly.invariants import scan
 from surfpoly.laurent import LaurentPolynomial as L
 from surfpoly.maps import EmbeddedSubgraph, random_map
 from surfpoly.multivariate import (
@@ -12,7 +13,7 @@ from surfpoly.multivariate import (
     parse_weights_file,
     verify_multivariate_duality,
 )
-from surfpoly.polynomials import p_bruteforce
+from surfpoly.polynomials import _witness, p_bruteforce
 
 
 def test_p_bar_sl(sl):
@@ -93,3 +94,65 @@ def test_weights_file(tb2):
         parse_weights_file("edge 9 = w\n", g)
     with pytest.raises(MapFormatError):
         parse_weights_file("1 = w\n", g)
+
+
+# -- p_bar against the mask-by-edge loop it replaced ----------------------------
+
+
+def _reference_p_bar(graph, weighting):
+    """Every mask, every edge in it, every variable of its weight."""
+    edges = graph.sorted_edges
+    names = sorted({"q", "A", "B"}.union(*(exps for _, exps in weighting.assigned.values())))
+    index = {v: i for i, v in enumerate(names)}
+    terms = {}
+    for mask, inv in scan(graph, None):
+        vec = [0] * len(names)
+        vec[index["q"]], vec[index["A"]], vec[index["B"]] = inv.c, inv.s // 2, inv.s_perp // 2
+        coeff = 1
+        for i, e in enumerate(edges):
+            if mask >> i & 1:
+                c, exps = weighting.weight(e)
+                coeff *= c
+                for v, k in exps.items():
+                    vec[index[v]] += k
+        key = tuple(vec)
+        terms[key] = terms.get(key, 0) + coeff
+    return L(tuple(names), terms)
+
+
+def test_p_bar_matches_mask_by_edge_reference(fig2):
+    rng = random.Random(67)
+    # 0-9 edges, odd counts included, so the two half tables differ in size
+    graphs = [EmbeddedSubgraph.full(random_map(n, rng)) for n in range(10) for _ in range(2)]
+    graphs.append(fig2)  # a marked subgraph: only some host edges carry weights
+    for g in graphs:
+        # coefficients -1, 2 and -3 on monomials in two variables every edge shares
+        shared = {
+            e: L.monomial(rng.choice([-1, 2, -3]), {"w": rng.randint(-2, 2), "r": rng.randint(-1, 1)})
+            for e in g.sorted_edges
+        }
+        for w in (EdgeWeighting(g), EdgeWeighting(g).inverted(), EdgeWeighting(g, shared)):
+            got = p_bar(g, w)
+            expected = _reference_p_bar(g, w)
+            assert got == expected
+            assert got.to_canonical_string() == expected.to_canonical_string()
+
+
+def test_multivariate_duality_fails_on_misplaced_weights(monkeypatch):
+    """Swapping the transported weights of two dual edges breaks the identity."""
+    m = random_map(5, random.Random(71))
+    assert verify_multivariate_duality(m).all_passed
+    real = EdgeWeighting.transported
+
+    def rotated(self, dual_graph):
+        moved = real(self, dual_graph)
+        e1, e2 = dual_graph.sorted_edges[:2]
+        moved.assigned[e1], moved.assigned[e2] = moved.assigned[e2], moved.assigned[e1]
+        return moved
+
+    monkeypatch.setattr(EdgeWeighting, "transported", rotated)
+    rep = verify_multivariate_duality(m)
+    duality = rep.verdicts[0]
+    assert duality.identity.startswith("multivariate duality")
+    assert not duality.passed and duality.witness == _witness(m)
+    assert duality.line() == f"FAIL {duality.identity}  witness: {_witness(m)}"
