@@ -11,13 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import corpus as corpus_mod
 from .errors import NonLaurentResult, SurfPolyError
 from .homology import tilde_p, verify_subgroup_duality
 from .invariants import DEFAULT_CAP, scan
+from .laurent import LaurentPolynomial
 from .links import (
+    LinkDiagram,
     _jones_of,
     kauffman,
     parse_diagram,
@@ -25,7 +28,7 @@ from .links import (
     tait_graph,
     verify_thistlethwaite,
 )
-from .maps import EmbeddedSubgraph, parse_map_file, serialize_map
+from .maps import CombinatorialMap, EmbeddedSubgraph, parse_map_file, serialize_map
 from .multivariate import parse_weights_file, p_bar, verify_multivariate_duality
 from .polynomials import (
     abstract_graph,
@@ -44,12 +47,24 @@ BUNDLED_MAPS = ("tb2.map", "sl.map", "sb.map", "theta.map", "fig2.map")
 BUNDLED_LINKS = ("trefoil.vlk", "vtrefoil.vlk", "torus-alt.vlk")
 
 
-def _read(path: str) -> str:
+def _read(path: str | Path) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_graph(path: str) -> EmbeddedSubgraph:
+def _load_graph(path: str | Path) -> EmbeddedSubgraph:
     return parse_map_file(_read(path))
+
+
+def _load_map(path: str | Path) -> CombinatorialMap:
+    return _load_graph(path).host
+
+
+def _load_diagram(path: str | Path) -> LinkDiagram:
+    return parse_diagram(_read(path))
+
+
+def _weighting(path: str | None, graph: EmbeddedSubgraph):
+    return parse_weights_file(_read(path), graph) if path else None
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -87,115 +102,60 @@ def _report_output(args, reports: list[tuple[str, PolynomialReport]]) -> int:
 
 # -- subcommand handlers ------------------------------------------------------
 
-def cmd_poly(args) -> int:
+def _value(key: str, compute):
+    """Handler of a subcommand with one value: ``compute(args)`` returns a
+    polynomial, printed as its canonical string, or map text, printed
+    without its trailing newline; --json emits ``{key: value}``."""
+
+    def handler(args) -> int:
+        value = compute(args)
+        if not isinstance(value, str):
+            value = value.to_canonical_string()
+        _emit(args, {key: value}, [value.rstrip("\n")])
+        return 0
+
+    return handler
+
+
+def _poly(args) -> LaurentPolynomial:
+    evaluate = p_recursive if args.recursive else p_bruteforce
+    return evaluate(_load_graph(args.file), cap=args.cap)
+
+
+def _pbar(args) -> LaurentPolynomial:
     graph = _load_graph(args.file)
-    if args.recursive:
-        poly = p_recursive(graph, cap=args.cap)
-    else:
-        poly = p_bruteforce(graph, cap=args.cap)
-    s = poly.to_canonical_string()
-    _emit(args, {"poly": s}, [s])
-    return 0
-
-
-def cmd_tutte(args) -> int:
-    graph = _load_graph(args.file)
-    s = tutte(*abstract_graph(graph), cap=args.cap).to_canonical_string()
-    _emit(args, {"tutte": s}, [s])
-    return 0
-
-
-def cmd_br(args) -> int:
-    m = _load_graph(args.file).host
-    s = bollobas_riordan(m, cap=args.cap).to_canonical_string()
-    _emit(args, {"bollobas_riordan": s}, [s])
-    return 0
-
-
-def cmd_pprime(args) -> int:
-    m = _load_graph(args.file).host
-    s = p_prime(m, cap=args.cap).to_canonical_string()
-    _emit(args, {"p_prime": s}, [s])
-    return 0
-
-
-def cmd_pbar(args) -> int:
-    graph = _load_graph(args.file)
-    weighting = None
-    if args.weights:
-        weighting = parse_weights_file(_read(args.weights), graph)
-    s = p_bar(graph, weighting, cap=args.cap).to_canonical_string()
-    _emit(args, {"p_bar": s}, [s])
-    return 0
+    return p_bar(graph, _weighting(args.weights, graph), cap=args.cap)
 
 
 def cmd_tildep(args) -> int:
-    graph = _load_graph(args.file)
-    parts = tilde_p(graph, cap=args.cap)
-    lines = [f"{v} :: {poly.to_canonical_string()}" for v, poly in parts]
-    payload = {
-        "tilde_p": [
-            {
-                "dim": v.dim,
-                "basis": [[str(x) for x in row] for row in v.basis],
-                "poly": poly.to_canonical_string(),
-            }
-            for v, poly in parts
-        ]
-    }
-    _emit(args, payload, lines)
+    parts = tilde_p(_load_graph(args.file), cap=args.cap)
+    parts = [(v, poly.to_canonical_string()) for v, poly in parts]
+    rows = [
+        {"dim": v.dim, "basis": [[str(x) for x in row] for row in v.basis], "poly": s}
+        for v, s in parts
+    ]
+    _emit(args, {"tilde_p": rows}, [f"{v} :: {s}" for v, s in parts])
     return 0
+
+
+INVARIANT_FIELDS = ("bitmask", "c", "n", "bc", "s", "s_perp", "k", "l")
 
 
 def cmd_invariants(args) -> int:
     graph = _load_graph(args.file)
-    subgraphs = scan(graph, args.cap)
     edges = graph.sorted_edges
-    lines = ["# bitmask c n bc s s_perp k l  (bit i = edge " + " ".join(map(str, edges)) + ")"]
-    rows = []
-    for mask, inv in subgraphs:
-        lines.append(
-            f"{mask} {inv.c} {inv.n} {inv.bc} {inv.s} {inv.s_perp} {inv.k} {inv.l}"
-        )
-        rows.append(
-            {
-                "bitmask": mask,
-                "c": inv.c,
-                "n": inv.n,
-                "bc": inv.bc,
-                "s": inv.s,
-                "s_perp": inv.s_perp,
-                "k": inv.k,
-                "l": inv.l,
-            }
-        )
+    rows = [
+        {f: mask if f == "bitmask" else getattr(inv, f) for f in INVARIANT_FIELDS}
+        for mask, inv in scan(graph, args.cap)
+    ]
+    lines = [f"# {' '.join(INVARIANT_FIELDS)}  (bit i = edge {' '.join(map(str, edges))})"]
+    lines += [" ".join(str(row[f]) for f in INVARIANT_FIELDS) for row in rows]
     _emit(args, {"edges": list(edges), "subgraphs": rows}, lines)
     return 0
 
 
-def cmd_dual(args) -> int:
-    m = _load_graph(args.file).host
-    text = serialize_map(m.dual(), canonical=True)
-    _emit(args, {"dual": text}, [text.rstrip("\n")])
-    return 0
-
-
-def cmd_canon(args) -> int:
-    graph = _load_graph(args.file)
-    text = serialize_map(graph, canonical=True)
-    _emit(args, {"canonical": text}, [text.rstrip("\n")])
-    return 0
-
-
-def cmd_bracket(args) -> int:
-    d = parse_diagram(_read(args.file))
-    s = kauffman(d, cap=args.cap).to_canonical_string()
-    _emit(args, {"kauffman": s}, [s])
-    return 0
-
-
 def cmd_jones(args) -> int:
-    d = parse_diagram(_read(args.file))
+    d = _load_diagram(args.file)
     bracket, w = kauffman(d, cap=args.cap), d.writhe()
     try:
         # the unnormalized image never raises: d occurs with exponents k >= 0
@@ -211,92 +171,110 @@ def cmd_jones(args) -> int:
     return 0
 
 
-def cmd_tait(args) -> int:
-    d = parse_diagram(_read(args.file))
-    t = tait_graph(d)
-    text = serialize_map(t.graph, canonical=True)
-    _emit(args, {"tait": text}, [text.rstrip("\n")])
-    return 0
+# The subcommands on one input file, in --help order: name -> (help, handler).
+# Rows look library names up when called, so tests can patch them.
+FILE_COMMANDS = {
+    "poly": ("four-variable surface polynomial P(X,Y,A,B)", _value("poly", _poly)),
+    "tutte": (
+        "Tutte polynomial (Whitney-rank normalization)",
+        _value("tutte", lambda a: tutte(*abstract_graph(_load_graph(a.file)), cap=a.cap)),
+    ),
+    "br": (
+        "Bollobas-Riordan polynomial BR(X,Y,Z)",
+        _value("bollobas_riordan", lambda a: bollobas_riordan(_load_map(a.file), cap=a.cap)),
+    ),
+    "pprime": (
+        "undoubled combinatorial variant P'(X,Y,A,B)",
+        _value("p_prime", lambda a: p_prime(_load_map(a.file), cap=a.cap)),
+    ),
+    "pbar": ("edge-weighted polynomial Pbar(q,v,A,B)", _value("p_bar", _pbar)),
+    "tildep": ("subgroup-coefficient polynomial", cmd_tildep),
+    "invariants": ("per-subgraph invariant table", cmd_invariants),
+    "dual": (
+        "dual map, canonical form",
+        _value("dual", lambda a: serialize_map(_load_map(a.file).dual(), canonical=True)),
+    ),
+    "canon": (
+        "canonical form of the map file",
+        _value("canonical", lambda a: serialize_map(_load_graph(a.file), canonical=True)),
+    ),
+    "bracket": (
+        "four-variable Kauffman bracket K(A,B,d,Z)",
+        _value("kauffman", lambda a: kauffman(_load_diagram(a.file), cap=a.cap)),
+    ),
+    "jones": ("Jones polynomial in u (t = u^4) and Z", cmd_jones),
+    "tait": (
+        "Tait graph of an alternating diagram",
+        _value("tait", lambda a: serialize_map(tait_graph(_load_diagram(a.file)).graph, canonical=True)),
+    ),
+}
+
+# verify <what> -> (loader of the input file, verifier of (input, cap, weights file))
+VERIFIERS = {
+    "duality": (_load_map, lambda m, cap, weights: verify_duality(m, cap=cap)),
+    "special": (_load_map, lambda m, cap, weights: verify_specializations(m, cap=cap)),
+    "mduality": (
+        _load_map,
+        lambda m, cap, weights: verify_multivariate_duality(
+            m, _weighting(weights, EmbeddedSubgraph.full(m)), cap=cap
+        ),
+    ),
+    "subgroup-duality": (_load_map, lambda m, cap, weights: verify_subgroup_duality(m, cap=cap)),
+    "thistlethwaite": (_load_diagram, lambda d, cap, weights: verify_thistlethwaite(d, cap=cap)),
+}
 
 
 def cmd_verify(args) -> int:
-    what = args.what
-    reports: list[tuple[str, PolynomialReport]] = []
-    if what in ("duality", "special", "mduality", "subgroup-duality"):
-        graph = _load_graph(args.file)
-        m = graph.host
-        if what == "duality":
-            reports.append((args.file, verify_duality(m, cap=args.cap)))
-        elif what == "special":
-            reports.append((args.file, verify_specializations(m, cap=args.cap)))
-        elif what == "mduality":
-            weighting = None
-            if args.weights:
-                weighting = parse_weights_file(
-                    _read(args.weights), EmbeddedSubgraph.full(m)
-                )
-            reports.append(
-                (args.file, verify_multivariate_duality(m, weighting, cap=args.cap))
-            )
-        else:
-            reports.append((args.file, verify_subgroup_duality(m, cap=args.cap)))
-    elif what == "thistlethwaite":
-        d = parse_diagram(_read(args.file))
-        reports.append((args.file, verify_thistlethwaite(d, cap=args.cap)))
-    elif what == "all":
-        reports = _verify_all(args)
-    return _report_output(args, reports)
+    if args.what == "all":
+        return _report_output(args, _verify_all(args))
+    load, verify = VERIFIERS[args.what]
+    return _report_output(args, [(args.file, verify(load(args.file), args.cap, args.weights))])
 
 
 def _verify_all(args) -> list[tuple[str, PolynomialReport]]:
-    """Every verifier over the bundled examples plus a seeded corpus."""
-    reports = []
-    for name in BUNDLED_MAPS:
-        m = parse_map_file((DATA_DIR / name).read_text()).host
-        reports.append((name, verify_duality(m, cap=args.cap)))
-        reports.append((name, verify_specializations(m, cap=args.cap)))
-        reports.append((name, verify_multivariate_duality(m, cap=args.cap)))
-        reports.append((name, verify_subgroup_duality(m, cap=args.cap)))
-    for name in BUNDLED_LINKS:
-        d = parse_diagram((DATA_DIR / name).read_text())
-        if d.is_alternating():
-            reports.append((name, verify_thistlethwaite(d, cap=args.cap)))
-    for i, m in enumerate(corpus_mod.random_maps(8, 6, seed=args.seed)):
-        tag = f"random-{i}"
-        reports.append((tag, verify_duality(m, cap=args.cap)))
-        reports.append((tag, verify_specializations(m, cap=args.cap)))
-        reports.append((tag, verify_multivariate_duality(m, cap=args.cap)))
-        reports.append((tag, verify_subgroup_duality(m, cap=args.cap)))
-    for g in (1, 2):
-        for i, d in enumerate(
-            corpus_mod.alternating_diagrams(2, g, 5, seed=args.seed + g)
-        ):
-            reports.append((f"alt-g{g}-{i}", verify_thistlethwaite(d, cap=args.cap)))
-    return reports
+    """Every verifier over the bundled examples plus a seeded corpus; no
+    weights file is read."""
+    links = [(name, _load_diagram(DATA_DIR / name)) for name in BUNDLED_LINKS]
+    inputs = (
+        [(name, _load_map(DATA_DIR / name)) for name in BUNDLED_MAPS]
+        + [(name, d) for name, d in links if d.is_alternating()]
+        + [(f"random-{i}", m) for i, m in enumerate(corpus_mod.random_maps(8, 6, seed=args.seed))]
+        + [
+            (f"alt-g{g}-{i}", d)
+            for g in (1, 2)
+            for i, d in enumerate(corpus_mod.alternating_diagrams(2, g, 5, seed=args.seed + g))
+        ]
+    )
+    # a diagram gets the verifiers that load diagrams, a map the other four
+    return [
+        (name, verify(x, args.cap, None))
+        for name, x in inputs
+        for load, verify in VERIFIERS.values()
+        if (load is _load_diagram) == isinstance(x, LinkDiagram)
+    ]
 
 
 def cmd_corpus(args) -> int:
+    # edge counts are drawn from [least, --max-edges]: a genus-g map has at
+    # least 2g edges, and a diagram at least 2 crossings
+    if args.kind == "diagrams" and args.genus < 0:
+        raise SurfPolyError(f"--genus must be at least 0, not {args.genus}")
+    least = 1 if args.kind == "maps" else max(2, 2 * args.genus)
+    if args.max_edges < least:
+        raise SurfPolyError(f"--max-edges must be at least {least}, not {args.max_edges}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     if args.kind == "maps":
-        maps = corpus_mod.random_maps(args.count, args.max_edges, seed=args.seed)
-        for i, m in enumerate(maps):
-            path = out / f"map_{i:04d}.map"
-            path.write_text(
-                serialize_map(m, canonical=True, comment=f"seed={args.seed} index={i}")
-            )
-            written.append(str(path))
+        items = corpus_mod.random_maps(args.count, args.max_edges, seed=args.seed)
+        name, serialize, tag = "map_{:04d}.map", partial(serialize_map, canonical=True), ""
     else:
-        diagrams = corpus_mod.alternating_diagrams(
-            args.count, args.genus, args.max_edges, seed=args.seed
-        )
-        for i, d in enumerate(diagrams):
-            path = out / f"diagram_{i:04d}.vlk"
-            path.write_text(
-                serialize_diagram(d, comment=f"seed={args.seed} genus={args.genus} index={i}")
-            )
-            written.append(str(path))
+        items = corpus_mod.alternating_diagrams(args.count, args.genus, args.max_edges, seed=args.seed)
+        name, serialize, tag = "diagram_{:04d}.vlk", serialize_diagram, f" genus={args.genus}"
+    written = []
+    for i, item in enumerate(items):
+        path = out / name.format(i)
+        path.write_text(serialize(item, comment=f"seed={args.seed}{tag} index={i}"))
+        written.append(str(path))
     _emit(args, {"written": written}, written)
     return 0
 
@@ -335,35 +313,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", action=_RemovedOption)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, file_arg=True):
-        p = sub.add_parser(name, help=help_)
-        if file_arg:
-            p.add_argument("file")
+    parsers = {}
+    for name, (help_, fn) in FILE_COMMANDS.items():
+        parsers[name] = p = sub.add_parser(name, help=help_)
+        p.add_argument("file")
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("poly", cmd_poly, "four-variable surface polynomial P(X,Y,A,B)")
+    p = parsers["poly"]
     p.add_argument("--recursive", action="store_true", help="contraction-deletion evaluator")
     p.add_argument("--bruteforce", dest="recursive", action="store_false")
     p.set_defaults(recursive=False)
-    add("tutte", cmd_tutte, "Tutte polynomial (Whitney-rank normalization)")
-    add("br", cmd_br, "Bollobas-Riordan polynomial BR(X,Y,Z)")
-    add("pprime", cmd_pprime, "undoubled combinatorial variant P'(X,Y,A,B)")
-    p = add("pbar", cmd_pbar, "edge-weighted polynomial Pbar(q,v,A,B)")
-    p.add_argument("--weights", help="weights file: lines 'edge <id> = <monomial>'")
-    add("tildep", cmd_tildep, "subgroup-coefficient polynomial")
-    add("invariants", cmd_invariants, "per-subgraph invariant table")
-    add("dual", cmd_dual, "dual map, canonical form")
-    add("canon", cmd_canon, "canonical form of the map file")
-    add("bracket", cmd_bracket, "four-variable Kauffman bracket K(A,B,d,Z)")
-    p = add("jones", cmd_jones, "Jones polynomial in u (t = u^4) and Z")
-    p.add_argument("--raw", action="store_true", help="skip the d-normalization")
-    add("tait", cmd_tait, "Tait graph of an alternating diagram")
+    parsers["pbar"].add_argument("--weights", help="weights file: lines 'edge <id> = <monomial>'")
+    parsers["jones"].add_argument("--raw", action="store_true", help="skip the d-normalization")
     p = sub.add_parser("verify", help="machine-check the identities")
-    p.add_argument(
-        "what",
-        choices=["duality", "special", "mduality", "subgroup-duality", "thistlethwaite", "all"],
-    )
+    p.add_argument("what", choices=[*VERIFIERS, "all"])
     p.add_argument("file", nargs="?", help="input file (not used by 'all')")
     p.add_argument("--weights", help="weights file for mduality")
     p.set_defaults(fn=cmd_verify)
@@ -384,10 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"verify {args.what} needs an input file")
     try:
         return args.fn(args)
-    except SurfPolyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SurfPolyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -196,9 +196,9 @@ class LaurentPolynomial:
         alphabetical variables; equality of polynomials iff string equality."""
         if not self._terms:
             return "0"
+        # keys are distinct: ascending total degree, then descending exponents
         keyed = sorted(
-            self._terms.items(),
-            key=lambda item: (sum(item[0]), tuple(-e for e in item[0])),
+            self._terms.items(), key=lambda item: (-sum(item[0]), item[0]), reverse=True
         )
         pieces = []
         for exps, c in keyed:

@@ -159,6 +159,46 @@ def test_json_mode(capsys, data_dir):
     assert payload["all_passed"] is True
 
 
+@pytest.mark.parametrize(
+    "cmd, name, keys",
+    [
+        ("poly", "theta.map", ["poly"]),
+        ("tutte", "theta.map", ["tutte"]),
+        ("br", "theta.map", ["bollobas_riordan"]),
+        ("pprime", "theta.map", ["p_prime"]),
+        ("pbar", "tb2.map", ["p_bar"]),
+        ("tildep", "fig2.map", ["tilde_p"]),
+        ("invariants", "sl.map", ["edges", "subgraphs"]),
+        ("dual", "sb.map", ["dual"]),
+        ("canon", "fig2.map", ["canonical"]),
+        ("bracket", "trefoil.vlk", ["kauffman"]),
+        ("jones", "trefoil.vlk", ["jones"]),
+        ("tait", "torus-alt.vlk", ["tait"]),
+    ],
+    ids=lambda x: x if isinstance(x, str) else None,
+)
+def test_json_mirrors_text_output(capsys, data_dir, cmd, name, keys):
+    path = str(data_dir / name)
+    code, text, _ = run_cli(capsys, cmd, path)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "--json", cmd, path)
+    payload = json.loads(out)
+    assert code == 0 and sorted(payload) == keys
+    if cmd == "tildep":
+        lines = [
+            f"dim={r['dim']} basis=[{', '.join('[' + ' '.join(row) + ']' for row in r['basis'])}]"
+            f" :: {r['poly']}"
+            for r in payload["tilde_p"]
+        ]
+    elif cmd == "invariants":
+        fields = ("bitmask", "c", "n", "bc", "s", "s_perp", "k", "l")
+        lines = [f"# {' '.join(fields)}  (bit i = edge {' '.join(map(str, payload['edges']))})"]
+        lines += [" ".join(str(row[f]) for f in fields) for row in payload["subgraphs"]]
+    else:
+        lines = [payload[keys[0]].rstrip("\n")]
+    assert text == "".join(line + "\n" for line in lines)
+
+
 def test_corpus_command(capsys, tmp_path):
     out_dir = tmp_path / "corpus"
     code, out, _ = run_cli(
@@ -177,6 +217,23 @@ def test_corpus_command(capsys, tmp_path):
     )
     assert code == 0
     assert len(sorted(out_dir.glob("*.vlk"))) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maps", "--max-edges", "0"],
+        ["diagrams", "--max-edges", "1"],
+        ["diagrams", "--genus", "3", "--max-edges", "5"],
+        ["diagrams", "--genus", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_corpus_rejects_out_of_range_options(capsys, tmp_path, argv):
+    out_dir = tmp_path / "corpus"
+    code, out, err = run_cli(capsys, "corpus", *argv, "--out", str(out_dir))
+    assert code == 2 and out == "" and not out_dir.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_error_exit_codes(capsys, tmp_path):

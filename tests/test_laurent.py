@@ -95,6 +95,15 @@ def test_canonical_strings():
     assert str(-X + 1) == "1 - X"
     assert str(L.monomial(-1, {"X": 2})) == "-X^2"
     assert str(3 * A * B ** 2) == "3*A*B^2"
+    # ties in total degree fall back to descending exponent vectors
+    C = v("C")
+    tied = (
+        -A ** -1 + 3 * A * B ** -1 + 1 - B ** -1 * C + A ** 2 * B ** -1
+        + A - 2 * B + C + B ** -1 * C ** 2 + A ** -1 * B * C
+    )
+    assert str(tied) == (
+        "-A^-1 + 3*A*B^-1 + 1 - B^-1*C + A^2*B^-1 + A - 2*B + C + B^-1*C^2 + A^-1*B*C"
+    )
     # equality of polynomials iff equality of strings
     p = (1 + X) * (1 + Y)
     q = 1 + X + Y + X * Y
