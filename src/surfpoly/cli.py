@@ -209,25 +209,27 @@ FILE_COMMANDS = {
     ),
 }
 
-# verify <what> -> (loader of the input file, verifier of (input, cap, weights file))
+# verify <what> -> (loader of the input file, whether it reads --weights,
+# verifier of (input, cap, weights file))
 VERIFIERS = {
-    "duality": (_load_map, lambda m, cap, weights: verify_duality(m, cap=cap)),
-    "special": (_load_map, lambda m, cap, weights: verify_specializations(m, cap=cap)),
+    "duality": (_load_map, False, lambda m, cap, w: verify_duality(m, cap=cap)),
+    "special": (_load_map, False, lambda m, cap, w: verify_specializations(m, cap=cap)),
     "mduality": (
         _load_map,
-        lambda m, cap, weights: verify_multivariate_duality(
-            m, _weighting(weights, EmbeddedSubgraph.full(m)), cap=cap
-        ),
+        True,
+        lambda m, cap, w: verify_multivariate_duality(m, _weighting(w, EmbeddedSubgraph.full(m)), cap=cap),
     ),
-    "subgroup-duality": (_load_map, lambda m, cap, weights: verify_subgroup_duality(m, cap=cap)),
-    "thistlethwaite": (_load_diagram, lambda d, cap, weights: verify_thistlethwaite(d, cap=cap)),
+    "subgroup-duality": (_load_map, False, lambda m, cap, w: verify_subgroup_duality(m, cap=cap)),
+    "thistlethwaite": (_load_diagram, False, lambda d, cap, w: verify_thistlethwaite(d, cap=cap)),
 }
 
 
 def cmd_verify(args) -> int:
+    if args.weights is not None and (args.what == "all" or not VERIFIERS[args.what][1]):
+        raise SurfPolyError(f"verify {args.what} reads no --weights file")
     if args.what == "all":
         return _report_output(args, _verify_all(args))
-    load, verify = VERIFIERS[args.what]
+    load, _, verify = VERIFIERS[args.what]
     return _report_output(args, [(args.file, verify(load(args.file), args.cap, args.weights))])
 
 
@@ -249,7 +251,7 @@ def _verify_all(args) -> list[tuple[str, PolynomialReport]]:
     return [
         (name, verify(x, args.cap, None))
         for name, x in inputs
-        for load, verify in VERIFIERS.values()
+        for load, _, verify in VERIFIERS.values()
         if (load is _load_diagram) == isinstance(x, LinkDiagram)
     ]
 
@@ -257,6 +259,8 @@ def _verify_all(args) -> list[tuple[str, PolynomialReport]]:
 def cmd_corpus(args) -> int:
     # edge counts are drawn from [least, --max-edges]: a genus-g map has at
     # least 2g edges, and a diagram at least 2 crossings
+    if args.count < 0:
+        raise SurfPolyError(f"--count must be at least 0, not {args.count}")
     if args.kind == "diagrams" and args.genus < 0:
         raise SurfPolyError(f"--genus must be at least 0, not {args.genus}")
     least = 1 if args.kind == "maps" else max(2, 2 * args.genus)

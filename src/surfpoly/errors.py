@@ -80,10 +80,6 @@ class NotAlternating(SurfPolyError):
     """Diagram is not alternating on its surface."""
 
 
-class NotCheckerboardColorable(SurfPolyError):
-    """Face adjacency graph of the diagram is not bipartite."""
-
-
 class MissingOrientation(SurfPolyError):
     """Operation needs strand orientations but none were assigned."""
 

@@ -284,11 +284,9 @@ class SurfaceHomology:
         """Boundary of a reduced-map face as a vector over loop edges; a face
         walk traverses dart d away from its vertex, so d contributes +e when
         it is the edge's orientation dart (the smaller one)."""
-        red = self.reduced
         vec = [0] * len(self.loops)
-        for d in face_cycle:
-            e = red.edge_of(d)
-            vec[self.loop_index[e]] += 1 if d == e else -1
+        for e, c in self.reduced.chain(face_cycle).items():
+            vec[self.loop_index[e]] = c
         return vec
 
     def _chord_pairing(self) -> list[list[int]]:
@@ -598,15 +596,11 @@ def radial_map(
     if radial.total_genus != m.total_genus:
         raise InternalInvariantError("radial map genus mismatch")
 
-    # rv < rf, so rv[d] is the id of the radial edge at the corner of d
-    primal: dict[int, Chain] = {}
-    dualc: dict[int, Chain] = {}
-    for e in m.edge_ids:
-        turn = rv[m.sigma[m.alpha[e]]]  # phi(e): corner dart at the head, same face
-        for chains, start in ((primal, rv[e]), (dualc, rv[m.alpha[e]])):
-            chain = {start: 1}
-            chain[turn] = chain.get(turn, 0) - 1
-            chains[e] = {k: v for k, v in chain.items() if v}
+    # rv[d] -> rf[d] runs from the vertex of d to its face: a 2-path leaves
+    # along the corner of e (primal) or of alpha(e) (dual), and comes back
+    # from the face along the corner of phi(e), at the head of e
+    primal = {e: radial.chain((rv[e], rf[m.phi(e)])) for e in m.edge_ids}
+    dualc = {e: radial.chain((rv[m.alpha[e]], rf[m.phi(e)])) for e in m.edge_ids}
     return radial, primal, dualc
 
 

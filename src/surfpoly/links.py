@@ -28,7 +28,6 @@ from .errors import (
     InternalInvariantError,
     MissingOrientation,
     NotAlternating,
-    NotCheckerboardColorable,
     NotFourValent,
     OverPairNotOpposite,
     TooManyCrossings,
@@ -40,8 +39,10 @@ from .laurent import LaurentPolynomial
 from .maps import (
     CombinatorialMap,
     EmbeddedSubgraph,
-    UnionFind,
     _cycles,
+    _cycles_to_text,
+    _orbits,
+    _parse_involution,
     _parse_perm_text,
     _perm_from_cycles,
 )
@@ -132,19 +133,8 @@ class LinkDiagram:
 
     @cached_property
     def strand_components(self) -> tuple[frozenset[int], ...]:
-        """Dart sets of the link components (strands go straight through
-        crossings: d ~ alpha(d) and d ~ sigma^2(d))."""
-        base = self.base
-        uf = UnionFind(base.darts)
-        for d in base.darts:
-            uf.union(d, base.alpha[d])
-            uf.union(d, base.sigma[base.sigma[d]])
-        groups: dict[int, set[int]] = {}
-        for d in base.darts:
-            groups.setdefault(uf.find(d), set()).add(d)
-        return tuple(
-            frozenset(g) for _, g in sorted(groups.items(), key=lambda kv: min(kv[1]))
-        )
+        """Dart sets of the link components, in order of their least dart."""
+        return _strands(self.base)
 
     def is_alternating(self) -> bool:
         base = self.base
@@ -236,12 +226,9 @@ class ResolutionState:
         return tuple(curves)
 
 
-def _curve_chain(m: CombinatorialMap, darts: Iterable[int]) -> Chain:
-    chain: Chain = {}
-    for d in darts:
-        e = m.edge_of(d)
-        chain[e] = chain.get(e, 0) + (1 if d == e else -1)
-    return {e: c for e, c in chain.items() if c}
+def _strands(m: CombinatorialMap) -> tuple[frozenset[int], ...]:
+    """Strands go straight through crossings: d ~ alpha(d) and d ~ sigma^2(d)."""
+    return _orbits(m.darts, m.alpha, {d: m.sigma[m.sigma[d]] for d in m.darts})
 
 
 def _smoothings(diagram: LinkDiagram) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
@@ -284,7 +271,7 @@ def states(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[ResolutionS
     surf = diagram.surface_map
     hom = SurfaceHomology(surf)
     links = [
-        (0, ~i, ~i, hom.chain_class(_curve_chain(surf, walk)))
+        (0, ~i, ~i, hom.chain_class(surf.chain(walk)))
         for i, walk in enumerate(diagram.free_loops)
     ]
     links += [(0, e, base.alpha[e], hom.packed[e]) for e in base.edge_ids]
@@ -366,7 +353,7 @@ def _jones_of(k: LaurentPolynomial, w: int, normalized: bool) -> LaurentPolynomi
 
 @dataclass(frozen=True)
 class TaitGraph:
-    """Tait graph of a checkerboard-colored alternating diagram.
+    """Tait graph of an alternating diagram.
 
     The graph is returned as its own cellulation of the same surface; edges
     correspond one-to-one with crossings.  ``edge_base_chain`` carries, for
@@ -385,95 +372,52 @@ class TaitGraph:
 
 
 def tait_graph(diagram: LinkDiagram) -> TaitGraph:
-    """Checkerboard-color the faces, take the shaded class joined by the
-    type-(1) smoothing, one vertex per shaded face and one edge per
-    crossing, with the ribbon structure induced by the face walks."""
+    """The shaded faces are those joined by the type-(1) smoothing: one Tait
+    vertex per shaded face and one edge per crossing, with the ribbon
+    structure of the face walks.
+
+    A crossing's rotation alternates over and under darts, and alternation
+    makes alpha flip the kind, so phi = sigma∘alpha keeps it: every face is
+    all-over or all-under.  The shaded faces are the faces of the over
+    darts, and the Tait rotation is phi on the over darts."""
     base = diagram.base
     if not base.darts or diagram.free_loops:
         raise NotAlternating("Tait graph needs a diagram with crossings only")
     if not diagram.is_alternating():
         raise NotAlternating("diagram is not alternating on its surface")
-
-    # 2-color the faces
-    color: dict[int, int] = {}
-    face_of = base.face_of
-    for start in base.face_ids:
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            f = queue.pop()
-            for d in base.face_cycles[base.face_ids.index(f)]:
-                g = face_of[base.alpha[d]]
-                if g not in color:
-                    color[g] = 1 - color[f]
-                    queue.append(g)
-                elif color[g] == color[f]:
-                    raise NotCheckerboardColorable(
-                        "face adjacency graph is not bipartite"
-                    )
-
-    # the type-(1) smoothing joins the corners of the over darts, i.e. the
-    # faces containing them; alternation makes that color constant
-    shades = {color[face_of[o]] for pair in diagram.over.values() for o in pair}
-    if len(shades) != 1:
-        raise NotAlternating("smoothing does not join a single color class")
-    shade = shades.pop()
-    shaded = frozenset(f for f in base.face_ids if color[f] == shade)
-
-    over_darts = sorted(d for d in base.darts if diagram.dart_is_over[d])
-    sigma_g: dict[int, int] = {}
-    for fid in shaded:
-        cyc = base.face_cycles[base.face_ids.index(fid)]
-        local = [d for d in cyc if diagram.dart_is_over[d]]
-        if not local:
-            raise InternalInvariantError("shaded face without over-dart corners")
-        for i, d in enumerate(local):
-            sigma_g[d] = local[(i + 1) % len(local)]
+    over_darts = [d for d in base.darts if diagram.dart_is_over[d]]
     alpha_g: dict[int, int] = {}
     crossing_edge: dict[int, int] = {}
+    edge_chain: dict[int, Chain] = {}
     for v, pair in diagram.over.items():
         o1, o2 = sorted(pair)
         alpha_g[o1] = o2
         alpha_g[o2] = o1
         crossing_edge[v] = o1
-    if set(sigma_g) != set(over_darts):
-        raise InternalInvariantError("Tait rotation does not cover the over darts")
-    g_map = CombinatorialMap(sigma_g, alpha_g)
+        # o1's face walk up to the crossing, then o2's walk back from it
+        back = [base.alpha[d] for d in _face_walk_to(base, o2)]
+        edge_chain[o1] = base.chain(_face_walk_to(base, o1) + back)
+    g_map = CombinatorialMap({d: base.phi(d) for d in over_darts}, alpha_g)
     if g_map.total_genus != base.total_genus:
         raise InternalInvariantError("Tait graph genus differs from the diagram's")
-
-    edge_chain: dict[int, Chain] = {}
-    for v, pair in diagram.over.items():
-        o1, o2 = sorted(pair)
-        chain: Chain = {}
-        for o, sign in ((o1, 1), (o2, -1)):
-            for e, coeff in _face_path_to_corner(base, o).items():
-                chain[e] = chain.get(e, 0) + sign * coeff
-        edge_chain[o1] = {e: c for e, c in chain.items() if c}
     return TaitGraph(
         graph=EmbeddedSubgraph.full(g_map),
         crossing_edge=crossing_edge,
-        shaded_faces=shaded,
+        shaded_faces=frozenset(base.face_of[d] for d in over_darts),
         edge_base_chain=edge_chain,
     )
 
 
-def _face_path_to_corner(m: CombinatorialMap, corner_dart: int) -> Chain:
-    """Chain of the face-walk prefix from the walk's start to the corner of
+def _face_walk_to(m: CombinatorialMap, corner_dart: int) -> list[int]:
+    """The face walk from its start (the face id) up to the corner of
     ``corner_dart`` (the turn right before that dart is traversed); two
     corners of the same face at the same vertex get distinct stops, which is
     what keeps Tait loop edges homologically honest."""
-    fid = m.face_of[corner_dart]
-    cyc = m.face_cycles[m.face_ids.index(fid)]
-    chain: Chain = {}
-    for d in cyc:
-        if d == corner_dart:
-            return {e: c for e, c in chain.items() if c}
-        e = m.edge_of(d)
-        chain[e] = chain.get(e, 0) + (1 if d == e else -1)
-    raise InternalInvariantError(f"dart {corner_dart} not on face {fid}")
+    walk, d = [], m.face_of[corner_dart]
+    while d != corner_dart:
+        walk.append(d)
+        d = m.phi(d)
+    return walk
 
 
 def tait_cycle_classes(
@@ -579,8 +523,7 @@ def medial_diagram(m: CombinatorialMap) -> LinkDiagram:
         if len(odd) != 2:
             raise InternalInvariantError("medial quad without opposite vertex corners")
         over[cyc[0]] = frozenset(odd)
-    diagram = LinkDiagram(base=medial, over=over)
-    lead = tuple(min(comp) for comp in diagram.strand_components)
+    lead = tuple(min(comp) for comp in _strands(medial))
     diagram = LinkDiagram(base=medial, over=over, orientation=lead)
     if not diagram.is_alternating():
         raise InternalInvariantError("medial construction is not alternating")
@@ -661,11 +604,9 @@ def parse_diagram(text: str) -> LinkDiagram:
     if sigma:
         if alpha_text is None:
             raise LinkFormatError("missing alpha: line")
-        alpha_cycles = _parse_perm_text(alpha_text, "alpha")
-        for cyc in alpha_cycles:
-            if len(cyc) != 2:
-                raise LinkFormatError("alpha must pair darts along strands")
-        alpha = _perm_from_cycles(alpha_cycles, "alpha")
+        alpha = _parse_involution(
+            alpha_text, "alpha", LinkFormatError, "alpha must pair darts along strands"
+        )
         if set(alpha) != set(sigma):
             raise LinkFormatError("alpha and crossing darts disagree")
         darts = sorted(sigma)
@@ -679,14 +620,10 @@ def parse_diagram(text: str) -> LinkDiagram:
         if surf_sigma is None or surf_alpha is None:
             raise LinkFormatError("surface_sigma and surface_alpha go together")
         s_cycles = _parse_perm_text(surf_sigma, "surface_sigma")
-        a_cycles = _parse_perm_text(surf_alpha, "surface_alpha")
-        for cyc in a_cycles:
-            if len(cyc) != 2:
-                raise LinkFormatError("surface_alpha must be an involution")
-        surface = CombinatorialMap(
-            _perm_from_cycles(s_cycles, "surface_sigma"),
-            _perm_from_cycles(a_cycles, "surface_alpha"),
+        s_alpha = _parse_involution(
+            surf_alpha, "surface_alpha", LinkFormatError, "surface_alpha must be an involution"
         )
+        surface = CombinatorialMap(_perm_from_cycles(s_cycles, "surface_sigma"), s_alpha)
     over: dict[int, frozenset[int]] = {}
     for o1, o2 in over_pairs:
         v = base.vertex_of.get(o1)
@@ -712,10 +649,14 @@ def serialize_diagram(diagram: LinkDiagram, comment: str | None = None) -> str:
         darts = " ".join(map(str, cyc))
         lines.append(f"crossing {i}: darts ({darts}) over ({o1} {o2})")
     if base.darts:
-        lines.append(f"alpha: {''.join('(' + ' '.join(map(str, c)) + ')' for c in _cycles(base.alpha))}")
-    if diagram.surface is not None:
-        lines.append(f"surface_sigma: {''.join('(' + ' '.join(map(str, c)) + ')' for c in diagram.surface.vertex_cycles)}")
-        lines.append(f"surface_alpha: {''.join('(' + ' '.join(map(str, c)) + ')' for c in _cycles(diagram.surface.alpha))}")
+        lines.append(f"alpha: {_cycles_to_text(_cycles(base.alpha))}")
+    surf = diagram.surface
+    if surf is not None:
+        # an empty surface keeps its lines empty after the colon
+        sigma_text = _cycles_to_text(surf.vertex_cycles) if surf.darts else ""
+        alpha_text = _cycles_to_text(_cycles(surf.alpha)) if surf.darts else ""
+        lines.append(f"surface_sigma: {sigma_text}")
+        lines.append(f"surface_alpha: {alpha_text}")
     for walk in diagram.free_loops:
         lines.append("freeloop:" + (" " + " ".join(map(str, walk)) if walk else ""))
     if diagram.orientation is not None:

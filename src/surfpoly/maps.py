@@ -13,7 +13,9 @@ Conventions used throughout the package:
   d toward the vertex of alpha(d), keeping the face on its left.
 * vertex id = smallest dart of the sigma-orbit, edge id = smallest dart of
   the alpha-orbit, face id = smallest dart of the phi-orbit.
-* an edge is oriented from the vertex of its smaller dart to the other.
+* an edge is oriented from the vertex of its smaller dart to the other, so
+  the 1-chain of a dart walk (`chain`) counts +1 for a smaller dart and -1
+  for the other.
 * isolated vertices carry no darts and are tracked by count; each one is a
   sphere component of the surface and is always part of the marked graph.
 """
@@ -83,6 +85,19 @@ class UnionFind:
         return sum(1 for x in self.parent if self.parent[x] == x)
 
 
+def _orbits(darts: Iterable[int], *perms: Perm) -> tuple[frozenset[int], ...]:
+    """Orbits of the group that ``perms`` generate on ``darts``, in order of
+    their least dart."""
+    uf = UnionFind(darts)
+    for d in uf.parent:
+        for perm in perms:
+            uf.union(d, perm[d])
+    groups: dict[int, set[int]] = {}
+    for d in uf.parent:
+        groups.setdefault(uf.find(d), set()).add(d)
+    return tuple(frozenset(g) for g in sorted(groups.values(), key=min))
+
+
 @dataclass(frozen=True)
 class CombinatorialMap:
     """An oriented surface cellulation, immutable after construction."""
@@ -139,6 +154,16 @@ class CombinatorialMap:
     def edge_of(self, d: int) -> int:
         return min(d, self.alpha[d])
 
+    def chain(self, darts: Iterable[int]) -> dict[int, int]:
+        """Signed 1-chain (edge id -> coefficient) of a dart sequence: +1
+        for an edge's smaller dart, -1 for the other, zeros dropped.  A
+        path taken in reverse is its darts under alpha."""
+        chain: dict[int, int] = {}
+        for d in darts:
+            e = self.edge_of(d)
+            chain[e] = chain.get(e, 0) + (1 if d == e else -1)
+        return {e: c for e, c in chain.items() if c}
+
     @cached_property
     def vertex_ids(self) -> tuple[int, ...]:
         return tuple(cyc[0] for cyc in self.vertex_cycles)
@@ -176,16 +201,7 @@ class CombinatorialMap:
 
     @cached_property
     def dart_components(self) -> tuple[frozenset[int], ...]:
-        uf = UnionFind(self.sigma)
-        for d in self.sigma:
-            uf.union(d, self.sigma[d])
-            uf.union(d, self.alpha[d])
-        groups: dict[int, set[int]] = {}
-        for d in self.sigma:
-            groups.setdefault(uf.find(d), set()).add(d)
-        return tuple(
-            frozenset(g) for _, g in sorted(groups.items(), key=lambda kv: min(kv[1]))
-        )
+        return _orbits(self.sigma, self.sigma, self.alpha)
 
     @cached_property
     def n_components(self) -> int:
@@ -475,6 +491,16 @@ def _perm_from_cycles(cycles: list[list[int]], what: str) -> Perm:
     return perm
 
 
+def _parse_involution(text: str, what: str, error: type[MapFormatError], message: str) -> Perm:
+    """An involution written as 2-cycles; any other cycle raises ``error``
+    with ``message``, where ``{}`` stands for the cycle."""
+    cycles = _parse_perm_text(text, what)
+    for cyc in cycles:
+        if len(cyc) != 2:
+            raise error(message.format(tuple(cyc)))
+    return _perm_from_cycles(cycles, what)
+
+
 def parse_map_file(text: str) -> EmbeddedSubgraph:
     """Parse the .map format into a host map with marked subgraph.
 
@@ -509,14 +535,9 @@ def parse_map_file(text: str) -> EmbeddedSubgraph:
         raise MapFormatError(f"unknown keys: {sorted(unknown)}")
 
     sigma_cycles = _parse_perm_text(fields["sigma"], "sigma")
-    alpha_cycles = _parse_perm_text(fields["alpha"], "alpha")
+    message = "alpha must be a product of 2-cycles, got cycle {}"
+    alpha = _parse_involution(fields["alpha"], "alpha", AlphaNotInvolution, message)
     sigma = _perm_from_cycles(sigma_cycles, "sigma")
-    for cyc in alpha_cycles:
-        if len(cyc) != 2:
-            raise AlphaNotInvolution(
-                f"alpha must be a product of 2-cycles, got cycle {tuple(cyc)}"
-            )
-    alpha = _perm_from_cycles(alpha_cycles, "alpha")
     if set(sigma) != set(alpha):
         raise DanglingDart("sigma and alpha mention different dart sets")
     darts = sorted(sigma)

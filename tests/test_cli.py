@@ -226,6 +226,7 @@ def test_corpus_command(capsys, tmp_path):
         ["diagrams", "--max-edges", "1"],
         ["diagrams", "--genus", "3", "--max-edges", "5"],
         ["diagrams", "--genus", "-1"],
+        ["maps", "--count", "-3"],
     ],
     ids=" ".join,
 )
@@ -234,6 +235,24 @@ def test_corpus_rejects_out_of_range_options(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, "corpus", *argv, "--out", str(out_dir))
     assert code == 2 and out == "" and not out_dir.exists()
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "duality", "tb2.map"],
+        ["verify", "special", "tb2.map"],
+        ["verify", "subgroup-duality", "tb2.map"],
+        ["verify", "thistlethwaite", "trefoil.vlk"],
+        ["verify", "all"],
+    ],
+    ids=" ".join,
+)
+def test_verify_refuses_weights_it_does_not_read(capsys, data_dir, tmp_path, argv):
+    argv = [str(data_dir / a) if "." in a else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--weights", str(tmp_path / "missing.txt"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--weights" in err
 
 
 def test_error_exit_codes(capsys, tmp_path):

@@ -28,7 +28,7 @@ from surfpoly.homology import (
 )
 from surfpoly.invariants import SubgraphScanner, scan
 from surfpoly.laurent import LaurentPolynomial
-from surfpoly.links import _curve_chain, states, tait_cycle_classes, tait_graph
+from surfpoly.links import states, tait_cycle_classes, tait_graph
 from surfpoly.maps import EmbeddedSubgraph, UnionFind, random_map
 from surfpoly.polynomials import p_bruteforce
 
@@ -363,7 +363,7 @@ def test_states_and_tait_classes_match_reference_route():
         for st in states(d):
             assert st.curves == reference_curves(d, st.choices)
             v = Subspace.from_vectors(
-                [reference_project(hom, _curve_chain(d.base, c)) for c in st.curves], hom.dim
+                [reference_project(hom, d.base.chain(c)) for c in st.curves], hom.dim
             )
             assert (st.subspace, st.r, st.k) == (v, v.dim, st.c - v.dim)
             h = [tait.crossing_edge[x] for x, chosen in zip(d.crossings, st.choices) if chosen]

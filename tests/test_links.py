@@ -1,11 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
 import sympy as sp
 
 from classical_oracle import bracket as oracle_bracket, jones as oracle_jones, writhe as oracle_writhe
 from surfpoly.errors import (
+    AlphaNotInvolution,
     LinkFormatError,
+    MalformedPermutation,
+    MapFormatError,
     MissingOrientation,
     NonLaurentResult,
     NotAlternating,
@@ -17,7 +21,6 @@ from surfpoly.homology import SurfaceHomology, Subspace, orthogonal_complement
 from surfpoly.laurent import LaurentPolynomial as L
 from surfpoly.links import (
     LinkDiagram,
-    _curve_chain,
     classical_bracket,
     jones,
     kauffman,
@@ -31,7 +34,7 @@ from surfpoly.links import (
     verify_thistlethwaite,
 )
 from surfpoly.corpus import alternating_diagrams
-from surfpoly.maps import canonical_code, random_map
+from surfpoly.maps import CombinatorialMap, canonical_code, parse_map_file, random_map
 from surfpoly.polynomials import p_bruteforce
 
 UNKNOT = "freeloop:\n"
@@ -257,9 +260,139 @@ def test_tait_graph_one_crossing_kink(sl, sb):
 
 def test_tait_rejects_non_alternating(data_dir):
     d = parse_diagram((data_dir / "vtrefoil.vlk").read_text())
-    if not d.is_alternating():
-        with pytest.raises(NotAlternating):
-            tait_graph(d)
+    assert not d.is_alternating()
+    with pytest.raises(NotAlternating):
+        tait_graph(d)
+
+
+def reference_tait(d):
+    """The face 2-colouring construction that `tait_graph` replaced: colour
+    the faces by a search over their adjacency, shade the class of the
+    over darts' faces, and walk each shaded face for its over darts.
+    Returns (map, shaded faces, crossing edges, edge base chains)."""
+    base = d.base
+
+    def face(f):
+        return base.face_cycles[base.face_ids.index(f)]
+
+    color = {}
+    for start in base.face_ids:
+        if start in color:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            f = queue.pop()
+            for x in face(f):
+                g = base.face_of[base.alpha[x]]
+                if g not in color:
+                    color[g] = 1 - color[f]
+                    queue.append(g)
+                assert color[g] != color[f]
+    (shade,) = {color[base.face_of[o]] for pair in d.over.values() for o in pair}
+    shaded = frozenset(f for f in base.face_ids if color[f] == shade)
+    sigma = {}
+    for f in shaded:
+        local = [x for x in face(f) if d.dart_is_over[x]]
+        for i, x in enumerate(local):
+            sigma[x] = local[(i + 1) % len(local)]
+
+    def to_corner(o):
+        chain = Counter()
+        for x in face(base.face_of[o]):
+            if x == o:
+                return chain
+            chain[base.edge_of(x)] += 1 if x == base.edge_of(x) else -1
+
+    alpha, crossing_edge, edge_chain = {}, {}, {}
+    for v, pair in d.over.items():
+        o1, o2 = sorted(pair)
+        alpha[o1], alpha[o2] = o2, o1
+        crossing_edge[v] = o1
+        chain = to_corner(o1)
+        chain.subtract(to_corner(o2))
+        edge_chain[o1] = {e: c for e, c in chain.items() if c}
+    return CombinatorialMap(sigma, alpha), shaded, crossing_edge, edge_chain
+
+
+def test_tait_graph_matches_two_colouring_reference(data_dir):
+    diagrams = [parse_diagram(p.read_text()) for p in sorted(data_dir.glob("*.vlk"))]
+    diagrams = [d for d in diagrams if d.is_alternating()]
+    assert len(diagrams) == 2
+    for genus in range(4):
+        diagrams += alternating_diagrams(8, genus, 9, seed=60 + genus)
+    for d in diagrams:
+        t = tait_graph(d)
+        g_map, shaded, crossing_edge, edge_chain = reference_tait(d)
+        assert t.map == g_map
+        assert t.map.sigma == {x: d.base.phi(x) for x in d.base.darts if d.dart_is_over[x]}
+        assert t.shaded_faces == shaded
+        assert t.crossing_edge == crossing_edge
+        assert t.edge_base_chain == edge_chain
+
+
+def test_tait_graph_of_a_split_diagram(data_dir):
+    # each split component's faces get their own 2-colouring, which can put
+    # the over darts of the two parts in opposite classes; their faces are
+    # still all-over or all-under
+    trefoil = parse_diagram((data_dir / "trefoil.vlk").read_text())
+    torus = parse_diagram((data_dir / "torus-alt.vlk").read_text())
+    s = torus.base.sigma
+    mirror = LinkDiagram(
+        base=torus.base, over={v: frozenset(s[x] for x in p) for v, p in torus.over.items()}
+    )
+    for one, two in ((trefoil, mirror), (mirror, trefoil)):
+        off = max(one.base.darts)
+        over = dict(one.over)
+        over.update({v + off: frozenset(x + off for x in p) for v, p in two.over.items()})
+        d = LinkDiagram(base=one.base.disjoint_union(two.base), over=over)
+        parts = tait_graph(one).map.disjoint_union(tait_graph(two).map)
+        assert canonical_code(tait_graph(d).map) == canonical_code(parts)
+        assert verify_thistlethwaite(d).all_passed
+
+
+CROSSING = "crossing 1: darts (1 2 3 4) over (1 3)\n"
+SURFACE = "surface_sigma: (1 3 2 4)\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, error, message",
+    [
+        (parse_map_file, "sigma: (1 2 3)\nalpha: (1 2 3)\n", AlphaNotInvolution,
+         "alpha must be a product of 2-cycles, got cycle (1, 2, 3)"),
+        (parse_map_file, "sigma: (1 2)\nalpha: (1)(2)\n", AlphaNotInvolution,
+         "alpha must be a product of 2-cycles, got cycle (1,)"),
+        (parse_map_file, "sigma: (1 2)(3 4)\nalpha: (1 2)(1 3)\n", MalformedPermutation,
+         "dart 1 repeated in alpha"),
+        (parse_map_file, "sigma: (1 2)\nalpha: (1 2) x\n", MapFormatError,
+         "stray tokens in alpha permutation: 'x'"),
+        (parse_map_file, "sigma: (1 2)\nalpha: (1 a)\n", MapFormatError,
+         "non-integer dart in alpha: '1 a'"),
+        (parse_diagram, CROSSING + "alpha: (1 2 3 4)\n", LinkFormatError,
+         "alpha must pair darts along strands"),
+        (parse_diagram, CROSSING + "alpha: (1 3)(1 4)\n", MalformedPermutation,
+         "dart 1 repeated in alpha"),
+        (parse_diagram, CROSSING + "alpha: (1 3)(2 4) 5\n", MapFormatError,
+         "stray tokens in alpha permutation: '5'"),
+        (parse_diagram, SURFACE + "surface_alpha: (1 2 3 4)\n", LinkFormatError,
+         "surface_alpha must be an involution"),
+        (parse_diagram, SURFACE + "surface_alpha: (1 2)(1 3)\n", MalformedPermutation,
+         "dart 1 repeated in surface_alpha"),
+        (parse_diagram, SURFACE + "surface_alpha: (1 2)(3 b)\n", MapFormatError,
+         "non-integer dart in surface_alpha: '3 b'"),
+    ],
+)
+def test_malformed_involution_lines_keep_their_errors(parse, text, error, message):
+    with pytest.raises(MapFormatError) as info:
+        parse(text)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_empty_surface_keeps_its_bytes():
+    text = "surface_sigma: \nsurface_alpha: \nfreeloop:\n"
+    d = parse_diagram("surface_sigma: ()\nsurface_alpha: ()\nfreeloop:\n")
+    assert d.surface is not None and serialize_diagram(d) == text
+    assert serialize_diagram(parse_diagram(text)) == text
 
 
 def test_medial_inverts_tait():
@@ -308,7 +441,7 @@ def test_tilde_kauffman_remark1_tait_correspondence():
             vh = tait_cycle_classes(d, tait, h, hom)
             expected = vh.intersection(orthogonal_complement(vh, hom.form))
             got = Subspace.from_vectors(
-                [hom.project_chain(_curve_chain(d.base, c)) for c in st.curves],
+                [hom.project_chain(d.base.chain(c)) for c in st.curves],
                 hom.dim,
             )
             assert got == expected

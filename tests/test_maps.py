@@ -57,6 +57,53 @@ def test_parse_rejects_bad_input():
         parse_map("alpha: (1 2)\n")  # missing sigma
 
 
+def reference_chain(m, darts):
+    """The per-caller loop that `CombinatorialMap.chain` replaced."""
+    chain = {}
+    for d in darts:
+        e = min(d, m.alpha[d])
+        chain[e] = chain.get(e, 0) + (1 if d == e else -1)
+    return {e: c for e, c in chain.items() if c}
+
+
+def test_chain_matches_reference_loop():
+    rng = random.Random(17)
+    for _ in range(300):
+        m = random_map(rng.randint(1, 8), rng)
+        darts = [rng.choice(m.darts) for _ in range(rng.randint(0, 12))]
+        if darts and rng.random() < 0.5:
+            # a dart and its alpha-partner cancel
+            darts.insert(rng.randrange(len(darts) + 1), m.alpha[rng.choice(darts)])
+        chain = m.chain(darts)
+        assert chain == reference_chain(m, darts)
+        assert all(chain.values())
+        # a path taken in reverse is its darts under alpha
+        assert m.chain(m.alpha[d] for d in reversed(darts)) == {e: -c for e, c in chain.items()}
+    m = random_map(3, rng)  # standard alpha: (1 2)(3 4)(5 6)
+    assert m.chain([1, 2]) == {} and m.chain([]) == {}
+    assert m.chain([2, 5, 2, 3, 4]) == {1: -2, 5: 1}
+
+
+def reference_dart_components(m):
+    uf = UnionFind(m.sigma)
+    for d in m.sigma:
+        uf.union(d, m.sigma[d])
+        uf.union(d, m.alpha[d])
+    groups = {}
+    for d in m.sigma:
+        groups.setdefault(uf.find(d), set()).add(d)
+    return tuple(frozenset(g) for _, g in sorted(groups.items(), key=lambda kv: min(kv[1])))
+
+
+def test_dart_components_match_union_find_reference(tb2, theta):
+    rng = random.Random(19)
+    maps = [tb2.disjoint_union(theta), theta.disjoint_union(tb2).disjoint_union(tb2)]
+    maps += [random_map(rng.randint(1, 8), rng) for _ in range(40)]
+    maps += [maps[i].disjoint_union(maps[i + 1]) for i in range(2, 20)]
+    for m in maps:
+        assert m.dart_components == reference_dart_components(m)
+
+
 def test_faces_examples(tb2, sl, theta):
     assert tb2.faces() == ((1, 4, 2, 3),)
     assert len(sl.faces()) == 2
