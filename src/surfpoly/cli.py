@@ -64,7 +64,11 @@ def _load_diagram(path: str | Path) -> LinkDiagram:
 
 
 def _weighting(path: str | None, graph: EmbeddedSubgraph):
-    return parse_weights_file(_read(path), graph) if path else None
+    if path is None:
+        return None
+    if not path:
+        raise SurfPolyError("--weights needs a file path, not an empty value")
+    return parse_weights_file(_read(path), graph)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import count
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -75,8 +76,10 @@ class SubgraphScanner:
     dart x links kappa(sigma^-1 x) to kappa(alpha x) if its edge is in H,
     else to kappa(x), so every corner has degree 2 and the classes are the
     boundary circles.  The links of unmarked host edges are applied here
-    once; ``steps[i]`` holds the out and the in :data:`Step` of marked
-    edge i, the in one adding 1 to the code's e(H) field.
+    once, giving ``base``; ``steps[i]`` holds the out and the in
+    :data:`Step` of marked edge i, the in one adding 1 to the code's e(H)
+    field, with its links lifted to the classes of ``base`` and the links
+    inside one class dropped.
     """
 
     def __init__(self, graph: EmbeddedSubgraph):
@@ -90,13 +93,14 @@ class SubgraphScanner:
         marked = graph.g_vertices
         face_of, vertex_of = host.face_of, host.vertex_of
         alpha, sigma_inv = host.alpha, host.sigma_inv
-        ranges = (  # c, c_perp, bc
-            [("v", v) for v in sorted(marked)],
-            [("f", f) for f in host.face_ids] + [("v", v) for v in host.vertex_ids if v not in marked],
-            [("k", d) for d in host.darts if vertex_of[d] in marked],
-        )
-        node = {key: i for i, key in enumerate(key for keys in ranges for key in keys)}
-        self.sizes = tuple(map(len, ranges))
+        # node numbers, range after range: c, c_perp (the faces, then the
+        # unmarked vertices), bc; a vertex is in c or in c_perp, never both
+        number = count()
+        vnode = {v: next(number) for v in sorted(marked)}
+        fnode = {f: next(number) for f in host.face_ids}
+        vnode.update({v: next(number) for v in host.vertex_ids if v not in marked})
+        knode = {d: next(number) for d in host.darts if vertex_of[d] in marked}
+        self.sizes = (len(marked), len(fnode) + len(vnode) - len(marked), len(knode))
         # a code's fields, low to high: e(H), then the merges of each range
         self.widths = tuple(n.bit_length() for n in (len(self.edges), *self.sizes))
         w_c, w_perp, w_bc = (1 << sum(self.widths[:i]) for i in (1, 2, 3))
@@ -104,26 +108,38 @@ class SubgraphScanner:
         def in_links(e: int) -> list[tuple[int, int, int]]:
             d = alpha[e]
             return [
-                (node["v", vertex_of[e]], node["v", vertex_of[d]], w_c),
-                (node["k", sigma_inv[e]], node["k", d], w_bc),
-                (node["k", sigma_inv[d]], node["k", e], w_bc),
+                (vnode[vertex_of[e]], vnode[vertex_of[d]], w_c),
+                (knode[sigma_inv[e]], knode[d], w_bc),
+                (knode[sigma_inv[d]], knode[e], w_bc),
             ]
 
         def out_links(e: int) -> list[tuple[int, int, int]]:
-            links = [(node["f", face_of[e]], node["f", face_of[alpha[e]]], w_perp)]
+            links = [(fnode[face_of[e]], fnode[face_of[alpha[e]]], w_perp)]
             for x in (e, alpha[e]):
-                if ("k", x) in node:
-                    links.append((node["k", sigma_inv[x]], node["k", x], w_bc))
+                if x in knode:
+                    links.append((knode[sigma_inv[x]], knode[x], w_bc))
                 else:
-                    links.append((node["f", face_of[x]], node["v", vertex_of[x]], w_perp))
+                    links.append((fnode[face_of[x]], vnode[vertex_of[x]], w_perp))
             return links
 
-        parent = list(range(len(node)))
+        parent = list(range(next(number)))
         unmarked = [link for e in host.edge_ids if e not in self.eidx for link in out_links(e)]
         self.base_code = _link(parent, 0, (0, unmarked))
         self.base = tuple(parent)
+
+        def lift(plus: int, links: list[tuple[int, int, int]]) -> Step:
+            lifted = []
+            for a, b, weight in links:
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                if a != b:
+                    lifted.append((a, b, weight))
+            return plus, lifted
+
         self.steps: tuple[tuple[Step, Step], ...] = tuple(
-            ((0, out_links(e)), (1, in_links(e))) for e in self.edges
+            (lift(0, out_links(e)), lift(1, in_links(e))) for e in self.edges
         )
 
     def codes(self) -> array:
@@ -136,8 +152,8 @@ class SubgraphScanner:
         built one marked edge at a time without visiting a mask (the
         transfer-matrix method of Sekine, Imai and Tani, ISAAC 1995).
 
-        The DP runs on the classes of ``base``, so links inside one class
-        are dropped.  Edges go in greedy order, each next the one sharing
+        The DP runs on the classes of ``base``, which the steps' links
+        join.  Edges go in greedy order, each next the one sharing
         most classes with those done (lowest index on ties).  The frontier
         is the classes that both a done and a later edge touch; a state is
         their partition, each position holding the first position of its
@@ -146,21 +162,7 @@ class SubgraphScanner:
         union-find, adds the merge weights (and 1 for in), and drops the
         classes no later edge touches.  One state, the empty one, remains.
         """
-        base = self.base
-
-        def lift(step: Step) -> Step:
-            plus, links = step
-            lifted = []
-            for a, b, weight in links:
-                while base[a] != a:
-                    a = base[a]
-                while base[b] != b:
-                    b = base[b]
-                if a != b:
-                    lifted.append((a, b, weight))
-            return plus, lifted
-
-        todo = {i: tuple(map(lift, pair)) for i, pair in enumerate(self.steps)}
+        todo = dict(enumerate(self.steps))
         touch = {
             i: {x for _, links in pair for a, b, _ in links for x in (a, b)}
             for i, pair in todo.items()
@@ -176,11 +178,13 @@ class SubgraphScanner:
         frontier: list[int] = []
         for t, (i, pair) in enumerate(order):
             pos = {x: p for p, x in enumerate(frontier)}
-            for x in sorted(touch[i]):
-                pos.setdefault(x, len(pos))
+            fresh = []
+            for x in touch[i]:
+                if x not in pos:
+                    fresh.append(len(pos))
+                    pos[x] = len(pos)
             branches = [(plus, [(pos[a], pos[b], w) for a, b, w in links]) for plus, links in pair]
             keep = [p for p, x in enumerate(pos) if last[x] > t]
-            fresh = range(len(frontier), len(pos))
             frontier = [x for x in pos if last[x] > t]
             nxt: dict[tuple[int, ...], dict[int, int]] = {}
             for state, counts in states.items():

@@ -88,14 +88,21 @@ class UnionFind:
 def _orbits(darts: Iterable[int], *perms: Perm) -> tuple[frozenset[int], ...]:
     """Orbits of the group that ``perms`` generate on ``darts``, in order of
     their least dart."""
-    uf = UnionFind(darts)
-    for d in uf.parent:
-        for perm in perms:
-            uf.union(d, perm[d])
-    groups: dict[int, set[int]] = {}
-    for d in uf.parent:
-        groups.setdefault(uf.find(d), set()).add(d)
-    return tuple(frozenset(g) for g in sorted(groups.values(), key=min))
+    seen: set[int] = set()
+    out = []
+    for start in sorted(darts):
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for d in orbit:  # grows while it is read: a search from start
+            for perm in perms:
+                x = perm[d]
+                if x not in seen:
+                    seen.add(x)
+                    orbit.append(x)
+        out.append(frozenset(orbit))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -209,13 +216,16 @@ class CombinatorialMap:
 
     def genus(self) -> tuple[list[int], int]:
         """Per-component genus list (dart components in min-dart order, then
-        one 0 per isolated vertex) and the total genus."""
+        one 0 per isolated vertex) and the total genus; each component's
+        v - e + f is counted off the ids labelled by component."""
+        label = {d: i for i, comp in enumerate(self.dart_components) for d in comp}
+        chi = [0] * len(self.dart_components)
+        for ids, sign in ((self.vertex_ids, 1), (self.edge_ids, -1), (self.face_ids, 1)):
+            for x in ids:
+                chi[label[x]] += sign
         genera: list[int] = []
-        for comp in self.dart_components:
-            v = len({self.vertex_of[d] for d in comp})
-            e = sum(1 for d in comp if d < self.alpha[d])
-            f = len({self.face_of[d] for d in comp})
-            two_g = 2 - (v - e + f)
+        for c in chi:
+            two_g = 2 - c
             if two_g % 2 or two_g < 0:
                 raise InternalEulerParity(
                     f"component has Euler defect {two_g}; map is corrupted"

@@ -88,32 +88,44 @@ def p_recursive(
     """Contraction-deletion on the lowest non-loop edge e: (1+X) P(G/e) when
     deleting e raises the component count (a bridge), P(G-e) + P(G/e)
     otherwise, and the histogram of a loops-only residue; agrees with
-    p_bruteforce wherever both run.  A work stack holds each pending minor
-    with its count b of contracted bridges; a residue's exponent counts are
-    summed per b, and (1+X)^b is expanded by binomials once at the end.
-    More than ``cap`` edges are refused on entry; a residue is never larger
-    than its input, so it is not capped."""
+    p_bruteforce wherever both run.  Every minor stays on the input host: a
+    work stack holds its contracted and kept edges and its count b of
+    contracted bridges, a union-find of the marked vertices tells loops and
+    bridges, and a leaf contracts the host once, along its maximal spanning
+    forest.  A residue's exponent counts are summed per b, and (1+X)^b is
+    expanded by binomials once at the end.  More than ``cap`` edges are
+    refused on entry; a residue is never larger than its input, so it is
+    not capped."""
     if isinstance(graph, CombinatorialMap):
         graph = EmbeddedSubgraph.full(graph)
     check_cap(len(graph.sorted_edges), cap)
+    host, marked = graph.host, graph.g_vertices
+    ends = {e: host.edge_endpoints(e) for e in graph.sorted_edges}
     residues: Counter = Counter()  # (b, exponent vector) -> subgraph count
-    stack = [(graph, 0)]
+    stack = [((), graph.sorted_edges, 0)]
     while stack:
-        graph, bridges = stack.pop()
-        edge = next((e for e in graph.sorted_edges if not graph.is_loop(e)), None)
-        if edge is None:
-            for exps, cnt in _exponents(histogram(graph, None), _p_key).items():
+        contracted, kept, bridges = stack.pop()
+        uf = UnionFind(marked)
+        for e in contracted:
+            uf.union(*ends[e])
+        find = uf.find
+        i = next((i for i, e in enumerate(kept) if find(ends[e][0]) != find(ends[e][1])), None)
+        if i is None:
+            residue = host.contract(contracted)
+            vids = {residue.vertex_of[d] for d in residue.sigma if host.vertex_of[d] in marked}
+            leaf = EmbeddedSubgraph(residue, frozenset(vids), frozenset(kept))
+            for exps, cnt in _exponents(histogram(leaf, None), _p_key).items():
                 residues[bridges, exps] += cnt
             continue
-        rest = UnionFind(graph.g_vertices)  # G - e
-        for f in graph.g_edges - {edge}:
-            rest.union(*graph.host.edge_endpoints(f))
-        u, w = graph.host.edge_endpoints(edge)
-        if rest.find(u) != rest.find(w):  # a bridge
-            stack.append((graph.contract_edge(edge), bridges + 1))
+        edge, rest = kept[i], kept[:i] + kept[i + 1:]
+        for f in kept[i + 1:]:  # the edges before it are loops, which join nothing
+            uf.union(*ends[f])
+        u, w = ends[edge]
+        if find(u) != find(w):  # a bridge
+            stack.append(((*contracted, edge), rest, bridges + 1))
         else:
-            stack.append((graph.delete_edge(edge), bridges))
-            stack.append((graph.contract_edge(edge), bridges))
+            stack.append((contracted, rest, bridges))
+            stack.append(((*contracted, edge), rest, bridges))
     terms: Counter = Counter()
     for (bridges, (x, *yab)), cnt in residues.items():
         for j in range(bridges + 1):

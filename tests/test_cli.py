@@ -255,6 +255,17 @@ def test_verify_refuses_weights_it_does_not_read(capsys, data_dir, tmp_path, arg
     assert err.startswith("error: ") and err.count("\n") == 1 and "--weights" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["pbar", "tb2.map"], ["verify", "mduality", "tb2.map"]], ids=" ".join
+)
+def test_empty_weights_value_is_refused(capsys, data_dir, argv):
+    # an empty path is a typo, not "no weights file"
+    argv = [str(data_dir / a) if "." in a else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--weights", "")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--weights" in err
+
+
 def test_error_exit_codes(capsys, tmp_path):
     bad = tmp_path / "bad.map"
     bad.write_text("sigma: (1 2)\nalpha: (1 2)(3 4)\n")

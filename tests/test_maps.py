@@ -95,13 +95,30 @@ def reference_dart_components(m):
     return tuple(frozenset(g) for _, g in sorted(groups.items(), key=lambda kv: min(kv[1])))
 
 
+def reference_genus(m):
+    """Per-component genera from the vertex and face sets of each dart
+    component, and the total."""
+    genera = []
+    for comp in reference_dart_components(m):
+        v = len({m.vertex_of[d] for d in comp})
+        e = sum(1 for d in comp if d < m.alpha[d])
+        f = len({m.face_of[d] for d in comp})
+        genera.append((2 - (v - e + f)) // 2)
+    genera.extend([0] * m.isolated_vertices)
+    return genera, sum(genera)
+
+
 def test_dart_components_match_union_find_reference(tb2, theta):
     rng = random.Random(19)
     maps = [tb2.disjoint_union(theta), theta.disjoint_union(tb2).disjoint_union(tb2)]
     maps += [random_map(rng.randint(1, 8), rng) for _ in range(40)]
     maps += [maps[i].disjoint_union(maps[i + 1]) for i in range(2, 20)]
+    maps += [CombinatorialMap(dict(m.sigma), dict(m.alpha), rng.randint(1, 3)) for m in maps[42:]]
+    maps.append(CombinatorialMap({}, {}, 2))
+    assert sum(m.isolated_vertices > 0 and len(m.dart_components) > 1 for m in maps) >= 18
     for m in maps:
         assert m.dart_components == reference_dart_components(m)
+        assert m.genus() == reference_genus(m)
 
 
 def test_faces_examples(tb2, sl, theta):

@@ -1,6 +1,7 @@
 import gc
 import importlib
 import itertools
+import math
 import random
 import sys
 import weakref
@@ -17,9 +18,12 @@ from surfpoly.cli import main
 from surfpoly.corpus import random_maps
 from surfpoly.errors import TooManyEdges, TooManyStates
 from surfpoly.homology import SurfaceHomology
+from surfpoly.invariants import histogram
 from surfpoly.laurent import LaurentPolynomial as L
-from surfpoly.maps import CombinatorialMap, EmbeddedSubgraph, random_map, serialize_map
+from surfpoly.maps import CombinatorialMap, EmbeddedSubgraph, UnionFind, random_map, serialize_map
 from surfpoly.polynomials import (
+    _exponents,
+    _p_key,
     abstract_graph,
     bollobas_riordan,
     component_maps,
@@ -89,9 +93,38 @@ def test_p_recursive_matches_bruteforce_random():
         assert p_recursive(m) == p_bruteforce(m)
 
 
-def test_p_recursive_on_marked_subgraphs(fig2, sb):
-    # seeded markings with unmarked host edges, on hosts that may have
-    # isolated vertices or several components
+def reference_p_recursive(graph: EmbeddedSubgraph) -> L:
+    """Contraction-deletion that builds a new host map for every minor with
+    ``EmbeddedSubgraph.contract_edge`` and ``delete_edge``: the reference
+    for the one-host ``p_recursive``."""
+    residues: Counter = Counter()
+    stack = [(graph, 0)]
+    while stack:
+        graph, bridges = stack.pop()
+        edge = next((e for e in graph.sorted_edges if not graph.is_loop(e)), None)
+        if edge is None:
+            for exps, cnt in _exponents(histogram(graph, None), _p_key).items():
+                residues[bridges, exps] += cnt
+            continue
+        rest = UnionFind(graph.g_vertices)  # G - e
+        for f in graph.g_edges - {edge}:
+            rest.union(*graph.host.edge_endpoints(f))
+        u, w = graph.host.edge_endpoints(edge)
+        if rest.find(u) != rest.find(w):  # a bridge
+            stack.append((graph.contract_edge(edge), bridges + 1))
+        else:
+            stack.append((graph.delete_edge(edge), bridges))
+            stack.append((graph.contract_edge(edge), bridges))
+    terms: Counter = Counter()
+    for (bridges, (x, *yab)), cnt in residues.items():
+        for j in range(bridges + 1):
+            terms[(x + j, *yab)] += math.comb(bridges, j) * cnt
+    return L(("X", "Y", "A", "B"), terms)
+
+
+def marked_subgraphs(fig2, sb) -> list[EmbeddedSubgraph]:
+    """Seeded markings with unmarked host edges, on hosts that may have
+    isolated vertices or several components."""
     rng = random.Random(59)
     graphs = [fig2, EmbeddedSubgraph.full(sb.disjoint_union(random_map(3, rng)))]
     for _ in range(80):
@@ -101,8 +134,12 @@ def test_p_recursive_on_marked_subgraphs(fig2, sb):
         if rng.random() < 0.3:
             m = m.disjoint_union(random_map(rng.randint(1, 3), rng))
         graphs.append(random_marking(m, rng))
+    return graphs
+
+
+def test_p_recursive_on_marked_subgraphs(fig2, sb):
     seen = set()
-    for g in graphs:
+    for g in marked_subgraphs(fig2, sb):
         non_loops = [e for e in g.sorted_edges if not g.is_loop(e)]
         seen.update(
             name
@@ -117,6 +154,29 @@ def test_p_recursive_on_marked_subgraphs(fig2, sb):
         )
         assert p_recursive(g) == p_bruteforce(g), serialize_map(g.host)
     assert len(seen) == 5, seen
+
+
+def test_p_recursive_matches_the_minor_by_minor_reference(fig2, sb):
+    for g in marked_subgraphs(fig2, sb):
+        assert p_recursive(g) == reference_p_recursive(g), serialize_map(g.host)
+
+
+def test_p_recursive_contracts_once_per_leaf(monkeypatch):
+    # the leaves are the maximal spanning forests, which the Tutte
+    # polynomial counts at X = Y = 0; each contracts the host once
+    calls = []
+    real = CombinatorialMap.contract
+
+    def counted(self, forest):
+        calls.append(forest)
+        return real(self, forest)
+
+    monkeypatch.setattr(CombinatorialMap, "contract", counted)
+    for m in random_maps(60, 9, 3):
+        calls.clear()
+        p_recursive(m)
+        t = tutte(*abstract_graph(m))
+        assert len(calls) == t.terms.get((0,) * len(t.variables), 0), serialize_map(m)
 
 
 def test_contraction_deletion_rules():
