@@ -30,9 +30,8 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from itertools import count
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     InternalInvariantError,
@@ -49,8 +48,7 @@ MAX_STATES = 1 << 17  # frontier partitions per DP step; well past this memory r
 Step = tuple[int, list[tuple[int, int, int]]]  # (code added, links (a, b, weight)), see _link
 
 
-@dataclass(frozen=True)
-class SubgraphInvariants:
+class SubgraphInvariants(NamedTuple):
     c: int
     v: int
     e: int
@@ -60,9 +58,6 @@ class SubgraphInvariants:
     s_perp: int
     k: int
     l: int
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return (self.c, self.v, self.e, self.n, self.bc, self.s, self.s_perp, self.k, self.l)
 
 
 class SubgraphScanner:

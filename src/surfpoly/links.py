@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -153,10 +152,10 @@ class LinkDiagram:
         compatible with the type-(1) smoothing rule: knots get integral
         Jones exponents in t = u^4)."""
         base = self.base
-        if base.darts and self.orientation is None:
-            raise MissingOrientation("writhe needs strand orientations")
         if not base.darts:
             return 0
+        if self.orientation is None or len(self.orientation) != len(self.strand_components):
+            raise MissingOrientation("writhe needs one orientation lead per strand component")
         out: set[int] = set()
         for lead in self.orientation:
             d = lead
@@ -175,23 +174,28 @@ class LinkDiagram:
 
 @dataclass(frozen=True)
 class ResolutionState:
-    """One smoothing choice per crossing (True = type (1) = A) and the
-    homology data of the state's curves: ``subspace`` is the span of the
-    curve classes in H1 of the surface, r its dimension; k + r = c always.
-    ``curves`` are traced on first access."""
+    """One smoothing choice per crossing, as ``mask`` (bit i set = type (1)
+    = A at crossing i), and the homology data of the state's curves:
+    ``subspace`` is the span of the curve classes in H1 of the surface, r
+    its dimension; k + r = c always.  ``choices`` and ``curves`` are built
+    on first access."""
 
-    choices: tuple[bool, ...]
+    mask: int
     c: int
     subspace: Subspace
     diagram: LinkDiagram = field(repr=False, compare=False)
 
+    @cached_property
+    def choices(self) -> tuple[bool, ...]:
+        return tuple(bool(self.mask >> i & 1) for i in range(self.diagram.n_crossings))
+
     @property
     def alpha_count(self) -> int:
-        return self.choices.count(True)
+        return self.mask.bit_count()
 
     @property
     def beta_count(self) -> int:
-        return self.choices.count(False)
+        return self.diagram.n_crossings - self.mask.bit_count()
 
     @property
     def r(self) -> int:
@@ -209,8 +213,8 @@ class ResolutionState:
         base = self.diagram.base
         alpha = base.alpha
         tau: dict[int, int] = {}
-        for smoothing, choice in zip(_smoothings(self.diagram), self.choices):
-            for x, y in smoothing[choice]:
+        for i, smoothing in enumerate(_smoothings(self.diagram)):
+            for x, y in smoothing[self.mask >> i & 1]:
                 tau[x] = y
                 tau[y] = x
         seen: set[int] = set()
@@ -243,17 +247,6 @@ def _smoothings(diagram: LinkDiagram) -> list[tuple[tuple[tuple[int, int], ...],
     return out
 
 
-_BYTE_CHOICES = [tuple(bool(byte >> i & 1) for i in range(8)) for byte in range(256)]
-
-
-def _choices(mask: int, n: int) -> tuple[bool, ...]:
-    """Bits 0 .. n-1 of ``mask`` as booleans, eight at a time."""
-    out = _BYTE_CHOICES[mask & 255]
-    for shift in range(8, n, 8):
-        out += _BYTE_CHOICES[mask >> shift & 255]
-    return out[:n]
-
-
 def states(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[ResolutionState]:
     """All 2^n resolutions with curve counts and homology ranks, lazily, in
     increasing order of the mask whose bit i is the choice at crossing i.
@@ -281,7 +274,7 @@ def states(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[ResolutionS
     ]
     spans = _Spans(hom.dim)
     return (
-        ResolutionState(_choices(mask, n), c, spans.spaces[v], diagram)
+        ResolutionState(mask, c, spans.spaces[v], diagram)
         for mask, (v, c) in _walk(links, steps, spans)
     )
 
@@ -453,10 +446,21 @@ def verify_thistlethwaite(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Polyn
     p = _p_of(Counter(tait_invs))
     eidx = {e_: i for i, e_ in enumerate(tait.graph.sorted_edges)}
     bits = [1 << eidx[tait.crossing_edge[x]] for x in diagram.crossings]
+
+    def table(half):
+        """The OR of each subset of the Tait edge bits ``half``, by subset mask."""
+        rows = [0]
+        for bit in half:
+            rows += [m | bit for m in rows]
+        return rows
+
+    # two tables of 2^(n/2) masks, not one of 2^n, to keep the memory small
+    h = len(bits) // 2
+    lo, hi, low = table(bits[:h]), table(bits[h:]), (1 << h) - 1
     terms: dict[tuple[int, int, int, int], int] = {}
     failed: int | None = None
     for st in sts:
-        mask = sum(compress(bits, st.choices))
+        mask = lo[st.mask & low] | hi[st.mask >> h]
         a_count, b_count, c_s, r = st.alpha_count, st.beta_count, st.c, st.r
         key = (a_count, b_count, c_s - r, r)
         terms[key] = terms.get(key, 0) + 1
@@ -554,10 +558,9 @@ def parse_diagram(text: str) -> LinkDiagram:
     )
     sigma: dict[int, int] = {}
     over_pairs: list[tuple[int, int]] = []
-    alpha_text = None
-    orient: tuple[int, ...] | None = None
+    once = ("alpha", "orient", "surface_sigma", "surface_alpha")  # keys that may appear once
+    fields: dict = {}
     free_loops: list[tuple[int, ...]] = []
-    surf_sigma = surf_alpha = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -582,24 +585,15 @@ def parse_diagram(text: str) -> LinkDiagram:
         key, _, value = line.partition(":")
         key = key.strip().lower()
         value = value.strip()
-        if key == "alpha":
-            alpha_text = value
-        elif key == "orient":
-            try:
-                orient = tuple(int(t) for t in value.split())
-            except ValueError as exc:
-                raise LinkFormatError("orient: expects dart ids") from exc
-        elif key == "freeloop":
-            try:
-                free_loops.append(tuple(int(t) for t in value.split()))
-            except ValueError as exc:
-                raise LinkFormatError("freeloop: expects dart ids") from exc
-        elif key == "surface_sigma":
-            surf_sigma = value
-        elif key == "surface_alpha":
-            surf_alpha = value
-        else:
+        if key == "freeloop":
+            free_loops.append(_dart_ids(key, value))
+        elif key not in once:
             raise LinkFormatError(f"unrecognized line {line!r}")
+        elif key in fields:
+            raise LinkFormatError(f"duplicate key {key!r}")
+        else:
+            fields[key] = _dart_ids(key, value) if key == "orient" else value
+    alpha_text, orient, surf_sigma, surf_alpha = map(fields.get, once)
 
     if sigma:
         if alpha_text is None:
@@ -637,6 +631,13 @@ def parse_diagram(text: str) -> LinkDiagram:
         surface=surface,
         orientation=orient,
     )
+
+
+def _dart_ids(key: str, value: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in value.split())
+    except ValueError as exc:
+        raise LinkFormatError(f"{key}: expects dart ids") from exc
 
 
 def serialize_diagram(diagram: LinkDiagram, comment: str | None = None) -> str:

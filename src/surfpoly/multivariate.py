@@ -208,6 +208,8 @@ def parse_weights_file(text: str, graph: EmbeddedSubgraph) -> EdgeWeighting:
             eid = int(parts[0].strip().split()[1])
         except (IndexError, ValueError) as exc:
             raise MapFormatError(f"bad edge id in {line!r}") from exc
+        if eid in weights:
+            raise MapFormatError(f"edge {eid} is weighted twice")
         weights[eid] = _parse_monomial(parts[1].strip())
     return EdgeWeighting(graph, weights)
 

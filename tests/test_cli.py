@@ -266,6 +266,31 @@ def test_empty_weights_value_is_refused(capsys, data_dir, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and "--weights" in err
 
 
+@pytest.mark.parametrize(
+    "cmd, name, old, new",
+    [
+        ("jones", "torus-alt.vlk", "orient: 1 5", "orient: 1"),
+        ("bracket", "trefoil.vlk", "orient: 1", "orient: 1\nalpha: (1 12)(2 3)(4 5)(6 7)(8 9)(10 11)"),
+        ("jones", "trefoil.vlk", "orient: 1", "orient: 1\norient: 2"),
+    ],
+    ids=["one lead for two components", "second alpha", "second orient"],
+)
+def test_malformed_link_files_exit_2(capsys, data_dir, tmp_path, cmd, name, old, new):
+    bad = tmp_path / name
+    bad.write_text((data_dir / name).read_text().replace(old, new))
+    code, out, err = run_cli(capsys, cmd, str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["pbar"], ["verify", "mduality"]], ids=" ".join)
+def test_repeated_edge_weight_exits_2(capsys, data_dir, tmp_path, argv):
+    wfile = tmp_path / "weights.txt"
+    wfile.write_text("edge 1 = w\nedge 1 = z\n")
+    code, out, err = run_cli(capsys, *argv, str(data_dir / "tb2.map"), "--weights", str(wfile))
+    assert (code, out, err) == (2, "", "error: edge 1 is weighted twice\n")
+
+
 def test_error_exit_codes(capsys, tmp_path):
     bad = tmp_path / "bad.map"
     bad.write_text("sigma: (1 2)\nalpha: (1 2)(3 4)\n")

@@ -153,8 +153,8 @@ def assert_matches_reference(graph: EmbeddedSubgraph) -> None:
     ref = ReferenceScanner(graph)
     sc = SubgraphScanner(graph)
     expected = [ref.invariants_of_mask(mask) for mask in range(1 << len(graph.sorted_edges))]
-    assert [inv.as_tuple() for _, inv in scan(graph, cap=None)] == expected, graph
-    assert [sc.invariants_of_mask(mask).as_tuple() for mask in range(len(expected))] == expected
+    assert [tuple(inv) for _, inv in scan(graph, cap=None)] == expected, graph
+    assert [tuple(sc.invariants_of_mask(mask)) for mask in range(len(expected))] == expected
     assert sc.code_counts() == Counter(sc.codes()), graph
 
 

@@ -194,6 +194,38 @@ def test_jones_needs_orientation(data_dir):
         jones(d)
 
 
+def test_writhe_needs_a_lead_per_component(data_dir):
+    # torus-alt has two components; one lead would leave the other unoriented
+    text = (data_dir / "torus-alt.vlk").read_text()
+    d = parse_diagram(text.replace("orient: 1 5", "orient: 1"))
+    with pytest.raises(MissingOrientation):
+        jones(d)
+    full = parse_diagram(text)
+    assert kauffman(d) == kauffman(full)
+    assert jones(full).to_canonical_string() == "u^-2 + 2*Z + u^2"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (KINK_TORUS, "alpha: (1 3)(2 4)"),
+        (KINK_TORUS, "alpha: (1 4)(2 3)"),
+        (KINK_TORUS, "orient: 2"),
+        (ESSENTIAL, "surface_sigma: (1 3 2 4)"),
+        (ESSENTIAL, "surface_alpha: (1 2)(3 4)"),
+    ],
+    ids=["alpha", "other alpha", "orient", "surface_sigma", "surface_alpha"],
+)
+def test_single_valued_keys_appear_once(text, line):
+    key = line.split(":")[0]
+    with pytest.raises(LinkFormatError, match=f"duplicate key '{key}'"):
+        parse_diagram(text + line + "\n")
+
+
+def test_freeloop_lines_repeat():
+    assert len(parse_diagram(UNKNOT * 3).free_loops) == 3
+
+
 def test_writhe_matches_oracle():
     rng = random.Random(79)
     for _ in range(10):
@@ -507,3 +539,45 @@ def test_thistlethwaite_reads_p_off_the_tait_sweep(data_dir, monkeypatch):
     for name in ("trefoil.vlk", "torus-alt.vlk"):
         assert verify_thistlethwaite(parse_diagram((data_dir / name).read_text())).all_passed
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "count, genus, max_edges, seed, min_crossings", [(4, 1, 6, 5, 4), (3, 2, 7, 6, 5)]
+)
+def test_thistlethwaite_witness_is_the_least_failing_tait_mask(
+    monkeypatch, count, genus, max_edges, seed, min_crossings
+):
+    # with the first and last crossings' Tait edges swapped, states fail the
+    # per-state check; the witness names the least failing Tait subgraph mask,
+    # found here state by state from the subgraph's own edge set
+    import dataclasses
+
+    import surfpoly.links as links_module
+    from surfpoly.invariants import SubgraphScanner
+
+    real = links_module.tait_graph
+
+    def swapped(diagram):
+        tait = real(diagram)
+        first, last = diagram.crossings[0], diagram.crossings[-1]
+        edges = dict(tait.crossing_edge)
+        edges[first], edges[last] = edges[last], edges[first]
+        return dataclasses.replace(tait, crossing_edge=edges)
+
+    monkeypatch.setattr(links_module, "tait_graph", swapped)
+    for d in alternating_diagrams(count, genus, max_edges, seed=seed, min_crossings=min_crossings):
+        tait = swapped(d)
+        sc = SubgraphScanner(tait.graph)
+        e = tait.map.n_edges
+        failing = []
+        for st in states(d):
+            h = [tait.crossing_edge[x] for x, chosen in zip(d.crossings, st.choices) if chosen]
+            mask = sc.mask_of(h)
+            inv = sc.invariants_of_mask(mask)
+            if (st.alpha_count, st.beta_count, st.c, st.k, st.r) != (
+                inv.e, e - inv.e, inv.bc, inv.c + inv.k, inv.l
+            ):
+                failing.append(mask)
+        verdict = verify_thistlethwaite(d).verdicts[1]
+        assert failing and not verdict.passed
+        assert verdict.witness == f"subgraph mask {min(failing)} of {serialize_diagram(d)!r}"
