@@ -48,7 +48,10 @@ BUNDLED_LINKS = ("trefoil.vlk", "vtrefoil.vlk", "torus-alt.vlk")
 
 
 def _read(path: str | Path) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SurfPolyError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_graph(path: str | Path) -> EmbeddedSubgraph:
@@ -328,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
     p = parsers["poly"]
     p.add_argument("--recursive", action="store_true", help="contraction-deletion evaluator")
-    p.add_argument("--bruteforce", dest="recursive", action="store_false")
-    p.set_defaults(recursive=False)
     parsers["pbar"].add_argument("--weights", help="weights file: lines 'edge <id> = <monomial>'")
     parsers["jones"].add_argument("--raw", action="store_true", help="skip the d-normalization")
     p = sub.add_parser("verify", help="machine-check the identities")

@@ -31,7 +31,8 @@ V(H) is spanned by the classes of the cycles that one potential union-find
 pass over H's edges closes (`_cycles`), each class packed into one int.  A
 state sum over all 2^e subgraphs runs that union-find over the masks
 (`_walk`) on the engine's one walker, `surfpoly.invariants.walk`, and keeps
-each span as an id into a table of interned subspaces (`_Spans`).
+each span as an id into a table of interned subspaces (`_Spans`).  Subgroup
+duality walks H and H* at once; their nullities and spans give its exponents.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, InternalInvariantError, RadicalNotBoundaries
-from .invariants import DEFAULT_CAP, scan, walk
+from .invariants import DEFAULT_CAP, check_cap, scan, walk
 from .laurent import LaurentPolynomial
 from .maps import CombinatorialMap, EmbeddedSubgraph, UnionFind
 from .report import PolynomialReport, Verdict
@@ -633,42 +634,32 @@ def _subgroup_walk(
 def verify_subgroup_duality(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> PolynomialReport:
     """Check V(H*) = V(H)^perp (as canonical RREF matrices in the radial
     map's H1 coordinates) and the component/kernel exponent swaps, for every
-    spanning subgraph of the cellulation m."""
-    g_full = EmbeddedSubgraph.full(m)
-    subgraphs = scan(g_full, cap)
-    dual_m = m.dual()
-    g_dual = EmbeddedSubgraph.full(dual_m)
-    # dual edges keep their ids, so H* = the duals of the edges not in H
-    # is the mask complement in the dual sweep
-    dual_invs = [inv for _, inv in scan(g_dual, cap)]
-    hom, primal, dual = _radial_links(m, dual_m)
-    full = (1 << len(primal)) - 1
-    c_g = g_full.components_count()
-    c_gs = g_dual.components_count()
+    spanning subgraph H of the cellulation m, where H* holds the duals of the
+    edges not in H.  The joint walk gives each side's span V and nullity n;
+    with e edges, |H| = mask.bit_count(), n(G) = e - v + c, n(G*) = e - f + c:
+    k(H) = n(H) - dim V(H), c(H) - c(G) = (e - |H|) - n(G) + n(H),
+    k(H*) = n(H*) - dim V(H*), c(H*) - c(G*) = |H| - n(G*) + n(H*)."""
+    check_cap(m.n_edges, cap)
+    hom, primal, dual = _radial_links(m, m.dual())
+    e, c = m.n_edges, m.n_components
+    n_g, n_gs = e - m.n_vertices + c, e - m.n_faces + c
     spans = _Spans(hom.dim)
-    # V(H) id -> (V(H)^perp id, whether dim V(H) + dim V(H)^perp = dim H1)
-    perps: dict[int, tuple[int, bool]] = {}
-    verdicts = []
-    ok = True
+    # V(H) id -> (V(H)^perp id, -1 if the dims do not sum to dim H1; both dims)
+    perps: dict[int, tuple[int, int, int]] = {}
     witness = None
-    sides = _subgroup_walk(primal, dual, spans)
-    for (mask, inv_h), (_, (v_hs, _, v_h, _)) in zip(subgraphs, sides, strict=True):
+    for mask, (v_hs, n_hs, v_h, n_h) in _subgroup_walk(primal, dual, spans):
         if v_h not in perps:
             v = spans.spaces[v_h]
             w = orthogonal_complement(v, hom.form)
-            perps[v_h] = (spans.add(w), v.dim + w.dim == hom.dim)
-        perp, dims_add_up = perps[v_h]
-        inv_hs = dual_invs[full ^ mask]
+            perps[v_h] = (spans.add(w) if v.dim + w.dim == hom.dim else -1, v.dim, w.dim)
+        perp, dim_h, dim_hs = perps[v_h]
+        h = mask.bit_count()
         if (
             v_hs != perp
-            or not dims_add_up
-            or inv_hs.c - c_gs != inv_h.k
-            or inv_h.c - c_g != inv_hs.k
+            or h - n_gs + n_hs != n_h - dim_h
+            or e - h - n_g + n_h != n_hs - dim_hs
         ):
-            ok = False
             witness = f"map={m!r} mask={mask}"
             break
-    verdicts.append(Verdict("subgroup duality V(H*) = V(H)^perp", ok, witness))
-    return PolynomialReport(
-        description=f"subgroup duality on {m!r}", verdicts=tuple(verdicts)
-    )
+    verdict = Verdict("subgroup duality V(H*) = V(H)^perp", witness is None, witness)
+    return PolynomialReport(description=f"subgroup duality on {m!r}", verdicts=(verdict,))

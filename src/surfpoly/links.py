@@ -557,7 +557,7 @@ def parse_diagram(text: str) -> LinkDiagram:
         re.IGNORECASE,
     )
     sigma: dict[int, int] = {}
-    over_pairs: list[tuple[int, int]] = []
+    over_pairs: dict[int, tuple[int, int]] = {}  # crossing id -> over darts
     once = ("alpha", "orient", "surface_sigma", "surface_alpha")  # keys that may appear once
     fields: dict = {}
     free_loops: list[tuple[int, ...]] = []
@@ -567,6 +567,9 @@ def parse_diagram(text: str) -> LinkDiagram:
             continue
         mobj = crossing_re.match(line)
         if mobj:
+            cid = int(mobj.group(1))
+            if cid in over_pairs:
+                raise LinkFormatError(f"crossing {cid} is given twice")
             try:
                 darts = [int(t) for t in mobj.group(2).split()]
                 over = [int(t) for t in mobj.group(3).split()]
@@ -580,7 +583,7 @@ def parse_diagram(text: str) -> LinkDiagram:
                 if d in sigma:
                     raise LinkFormatError(f"dart {d} appears in two crossings")
                 sigma[d] = darts[(i + 1) % 4]
-            over_pairs.append((over[0], over[1]))
+            over_pairs[cid] = (over[0], over[1])
             continue
         key, _, value = line.partition(":")
         key = key.strip().lower()
@@ -619,7 +622,7 @@ def parse_diagram(text: str) -> LinkDiagram:
         )
         surface = CombinatorialMap(_perm_from_cycles(s_cycles, "surface_sigma"), s_alpha)
     over: dict[int, frozenset[int]] = {}
-    for o1, o2 in over_pairs:
+    for o1, o2 in over_pairs.values():
         v = base.vertex_of.get(o1)
         if v is None:
             raise LinkFormatError(f"over dart {o1} unknown")

@@ -564,9 +564,13 @@ def parse_map_file(text: str) -> EmbeddedSubgraph:
         if value == "*":
             return frozenset(universe)
         try:
-            ids = frozenset(int(tok) for tok in value.split())
+            listed = sorted(int(tok) for tok in value.split())
         except ValueError as exc:
             raise MapFormatError(f"{key}: expects '*' or integer ids") from exc
+        repeated = sorted({a for a, b in zip(listed, listed[1:]) if a == b})
+        if repeated:
+            raise MapFormatError(f"{key}: repeated {what} ids {repeated}")
+        ids = frozenset(listed)
         if not ids <= set(universe):
             raise MapFormatError(f"{key}: unknown {what} ids {sorted(ids - set(universe))}")
         return ids

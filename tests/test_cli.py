@@ -291,6 +291,44 @@ def test_repeated_edge_weight_exits_2(capsys, data_dir, tmp_path, argv):
     assert (code, out, err) == (2, "", "error: edge 1 is weighted twice\n")
 
 
+@pytest.mark.parametrize(
+    "cmd, name, old, new, message",
+    [
+        ("bracket", "trefoil.vlk", "crossing 2:", "crossing 1:", "crossing 1 is given twice"),
+        ("verify thistlethwaite", "trefoil.vlk", "crossing 3:", "crossing 1:", "crossing 1 is given twice"),
+        ("poly", "tb2.map", "graph_vertices: *", "graph_vertices: 1 1", "graph_vertices: repeated vertex ids [1]"),
+        ("poly", "tb2.map", "graph_edges: *", "graph_edges: 3 1 3", "graph_edges: repeated edge ids [3]"),
+    ],
+    ids=["bracket crossing", "thistlethwaite crossing", "graph_vertices", "graph_edges"],
+)
+def test_repeated_ids_exit_2(capsys, data_dir, tmp_path, cmd, name, old, new, message):
+    bad = tmp_path / name
+    bad.write_text((data_dir / name).read_text().replace(old, new))
+    code, out, err = run_cli(capsys, *cmd.split(), str(bad))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["poly", "BAD"], ["bracket", "BAD"], ["pbar", "tb2.map", "--weights", "BAD"]],
+    ids=["poly", "bracket", "pbar --weights"],
+)
+def test_non_utf8_input_exits_2(capsys, data_dir, tmp_path, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe" + "edge 1 = w\n".encode("utf-16-le"))  # a UTF-16 byte order mark
+    argv = [str(bad) if a == "BAD" else str(data_dir / a) if "." in a else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+def test_poly_bruteforce_alias_is_gone(capsys, data_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["poly", "--bruteforce", str(data_dir / "theta.map")])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and "--bruteforce" in out.err
+
+
 def test_error_exit_codes(capsys, tmp_path):
     bad = tmp_path / "bad.map"
     bad.write_text("sigma: (1 2)\nalpha: (1 2)(3 4)\n")

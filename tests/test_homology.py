@@ -1,3 +1,4 @@
+import importlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -526,3 +527,41 @@ def test_subgroup_duality_detects_swapped_dual_chains(tb2, octagon, monkeypatch)
         first = first_failing_mask(m)
         assert not rep.all_passed and first is not None
         assert rep.verdicts[0].witness == f"map={m!r} mask={first}"
+
+
+def test_subgroup_duality_builds_no_scanner(tb2, octagon, monkeypatch):
+    # the package attribute ``surfpoly.invariants`` is the function of that
+    # name, so the module is fetched by its full name
+    engine = importlib.import_module("surfpoly.invariants")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("subgroup duality swept the subgraphs with the scanner")
+
+    for module, name in [(engine, "SubgraphScanner"), (engine, "scan"), (homology_module, "scan")]:
+        monkeypatch.setattr(module, name, refuse)
+    for m in (tb2, octagon, *random_maps_of_genus(2, 2, 7, seed=308, min_edges=6)):
+        assert verify_subgroup_duality(m).all_passed
+
+
+@pytest.mark.parametrize("pick", [0, 1, -1], ids=["empty H", "first edge", "all edges"])
+def test_subgroup_duality_fails_on_a_miscounted_dual_nullity(tb2, octagon, monkeypatch, pick):
+    """n(H*) one too large at one mask: the spans still agree there, so
+    only the exponent swaps can catch it."""
+    real = homology_module._subgroup_walk
+    chosen = {}
+
+    def miscount(primal, dual, spans):
+        for mask, (v_hs, n_hs, v_h, n_h) in real(primal, dual, spans):
+            if mask == chosen["mask"]:
+                chosen["spans"] = spans.spaces[v_h], spans.spaces[v_hs]
+                n_hs += 1
+            yield mask, (v_hs, n_hs, v_h, n_h)
+
+    monkeypatch.setattr(homology_module, "_subgroup_walk", miscount)
+    for m in (tb2, octagon, *random_maps_of_genus(2, 2, 7, seed=309, min_edges=6)):
+        chosen["mask"] = pick & ((1 << m.n_edges) - 1)
+        rep = verify_subgroup_duality(m)
+        assert not rep.all_passed
+        assert rep.verdicts[0].witness == f"map={m!r} mask={chosen['mask']}"
+        v_h, v_hs = chosen["spans"]
+        assert v_hs == orthogonal_complement(v_h, _radial_links(m, m.dual())[0].form)
