@@ -31,12 +31,15 @@ V(H) is spanned by the classes of the cycles that one potential union-find
 pass over H's edges closes (`_cycles`), each class packed into one int.  A
 state sum over all 2^e subgraphs runs that union-find over the masks
 (`_walk`) on the engine's one walker, `surfpoly.invariants.walk`, and keeps
-each span as an id into a table of interned subspaces (`_Spans`).  Subgroup
-duality walks H and H* at once; their nullities and spans give its exponents.
+each span as an id into a table of interned subspaces (`_Spans`).  tilde-P
+reads its exponents off its walk's nullities and spans, and checks their
+counts against the frontier DP; subgroup duality walks H and H* at once, and
+their nullities and spans give its exponents.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -44,7 +47,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, InternalInvariantError, RadicalNotBoundaries
-from .invariants import DEFAULT_CAP, check_cap, scan, walk
+from .invariants import DEFAULT_CAP, check_cap, histogram, walk
 from .laurent import LaurentPolynomial
 from .maps import CombinatorialMap, EmbeddedSubgraph, UnionFind
 from .report import PolynomialReport, Verdict
@@ -526,26 +529,25 @@ def tilde_p(
     graph: EmbeddedSubgraph, cap: int = DEFAULT_CAP
 ) -> list[tuple[Subspace, LaurentPolynomial]]:
     """The subgroup-coefficient refinement: sum over spanning H of
-    [V(H)] * X^{c(H)-c(G)} * Y^{k(H)}, merged by equal subspace.
-
-    Specializing each [V] to A^{s/2} B^{s_perp/2} recovers the four-variable
-    surface polynomial.
-    """
-    subgraphs = scan(graph, cap)
+    [V(H)] * X^{c(H)-c(G)} * Y^{k(H)}, merged by equal subspace, from one
+    `_walk`'s span V(H) and nullity n(H): with v marked plus isolated vertices,
+    c(H) - c(G) = v - c(G) - |H| + n(H) and k(H) = n(H) - dim V(H).  Their
+    counts must equal the frontier DP's.  Specializing each [V] to
+    A^{s/2} B^{s_perp/2} recovers the four-variable surface polynomial."""
+    check_cap(len(graph.sorted_edges), cap)
     hom = SurfaceHomology(graph.host)
     steps = [((), ((0, *link),)) for link in _links(graph.host, hom.packed, graph.sorted_edges)]
     c_g = graph.components_count()
+    shift = len(graph.g_vertices) + graph.host.isolated_vertices - c_g
     spans = _Spans(hom.dim)
-    grouped: dict[int, dict[tuple[int, ...], int]] = {}
-    for (_, inv), (_, (v, nullity)) in zip(subgraphs, _walk((), steps, spans), strict=True):
-        k = nullity - spans.spaces[v].dim
-        if k != inv.k:
-            raise InternalInvariantError(
-                f"kernel mismatch: algebra {k} vs combinatorial {inv.k}"
-            )
-        exps = (inv.c - c_g, k)
-        bucket = grouped.setdefault(v, {})
-        bucket[exps] = bucket.get(exps, 0) + 1
+    grouped: defaultdict[int, Counter] = defaultdict(Counter)
+    for mask, (v, nullity) in _walk((), steps, spans):
+        grouped[v][shift - mask.bit_count() + nullity, nullity - spans.spaces[v].dim] += 1
+    counts = sum(grouped.values(), Counter())
+    for inv, cnt in histogram(graph, None).items():
+        counts[inv.c - c_g, inv.k] -= cnt
+    if any(counts.values()):
+        raise InternalInvariantError("tilde-P exponent counts differ from the frontier DP's")
     parts = [(spans.spaces[v], LaurentPolynomial(("X", "Y"), b)) for v, b in grouped.items()]
     return sorted(parts, key=lambda vp: (vp[0].dim, vp[0].basis))
 

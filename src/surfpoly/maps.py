@@ -41,6 +41,8 @@ from .errors import (
 
 Perm = dict[int, int]
 
+MAX_ISOLATED = 4096  # isolated vertices a .map file may declare
+
 
 def _cycles(perm: Perm) -> tuple[tuple[int, ...], ...]:
     """Disjoint cycles of a permutation, each rotated to start at its
@@ -522,8 +524,9 @@ def parse_map_file(text: str) -> EmbeddedSubgraph:
         graph_vertices: *   | space-separated vertex ids
         graph_edges: *      | space-separated edge ids
 
-    Dart ids must be exactly 1..2m.  ``graph_vertices`` cannot address
-    isolated vertices; those are always part of the marked graph.
+    Dart ids must be exactly 1..2m.  ``isolated`` is at most
+    :data:`MAX_ISOLATED`.  ``graph_vertices`` cannot address isolated
+    vertices; those are always part of the marked graph.
     """
     fields: dict[str, str] = {}
     for raw in text.splitlines():
@@ -557,6 +560,8 @@ def parse_map_file(text: str) -> EmbeddedSubgraph:
         isolated = int(fields.get("isolated", "0"))
     except ValueError as exc:
         raise MapFormatError("isolated: expects an integer") from exc
+    if isolated > MAX_ISOLATED:
+        raise MapFormatError(f"isolated: {isolated} exceeds the bound {MAX_ISOLATED}")
     host = CombinatorialMap(sigma, alpha, isolated)
 
     def id_list(key: str, universe: tuple[int, ...], what: str) -> frozenset[int]:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from surfpoly.cli import main
+from surfpoly.maps import MAX_ISOLATED
 
 
 def run_cli(capsys, *argv):
@@ -320,6 +321,18 @@ def test_non_utf8_input_exits_2(capsys, data_dir, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+@pytest.mark.parametrize("cmd", ["canon", "poly"])
+def test_isolated_count_above_the_bound_exits_2(capsys, tmp_path, cmd):
+    path = tmp_path / "isolated.map"
+    path.write_text(f"sigma: (1 2)\nalpha: (1 2)\nisolated: {MAX_ISOLATED}\n")
+    code, out, err = run_cli(capsys, cmd, str(path))
+    assert code == 0 and out and err == ""
+    path.write_text(f"sigma: (1 2)\nalpha: (1 2)\nisolated: {MAX_ISOLATED + 1}\n")
+    code, out, err = run_cli(capsys, cmd, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: isolated: {MAX_ISOLATED + 1} exceeds the bound {MAX_ISOLATED}\n"
 
 
 def test_poly_bruteforce_alias_is_gone(capsys, data_dir):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import surfpoly.homology as homology_module
-from surfpoly.corpus import alternating_diagrams, random_maps_of_genus
+from surfpoly.corpus import alternating_diagrams, random_maps, random_maps_of_genus
 from surfpoly.errors import DimensionMismatch, InternalInvariantError
 from surfpoly.homology import (
     Subspace,
@@ -30,8 +30,9 @@ from surfpoly.homology import (
 from surfpoly.invariants import SubgraphScanner, scan
 from surfpoly.laurent import LaurentPolynomial
 from surfpoly.links import states, tait_cycle_classes, tait_graph
-from surfpoly.maps import EmbeddedSubgraph, UnionFind, random_map
+from surfpoly.maps import CombinatorialMap, EmbeddedSubgraph, UnionFind, random_map
 from surfpoly.polynomials import p_bruteforce
+from test_invariants import random_marking
 
 
 def test_h1_dimensions(tb2, sl, octagon):
@@ -334,11 +335,23 @@ def test_project_chain_matches_reference_reduction():
             hom.project_chain({max(m.darts) + 1: 1})
 
 
+def _marked_subgraphs():
+    """Graphs that are not cellulations: unmarked vertices and edges, and
+    1-2 isolated vertices in the host."""
+    rng = random.Random(310)
+    return [
+        random_marking(CombinatorialMap(dict(m.sigma), dict(m.alpha), rng.randint(1, 2)), rng)
+        for m in random_maps(40, 6, 3)
+    ]
+
+
 def test_image_subspace_and_tilde_p_match_reference_route(maps_up_to_4):
     maps = list(maps_up_to_4) + random_maps_of_genus(4, 2, 7, seed=302, min_edges=5)
-    for m in maps:
-        g = EmbeddedSubgraph.full(m)
-        hom = SurfaceHomology(m)
+    marked = _marked_subgraphs()
+    assert any(len(g.g_vertices) < len(g.host.vertex_ids) for g in marked)
+    assert any(len(g.g_edges) < len(g.host.edge_ids) for g in marked)
+    for g in [EmbeddedSubgraph.full(m) for m in maps] + marked:
+        hom = SurfaceHomology(g.host)
         c_g = g.components_count()
         grouped: dict = {}
         for mask, inv in scan(g, 20):
@@ -537,7 +550,7 @@ def test_subgroup_duality_builds_no_scanner(tb2, octagon, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("subgroup duality swept the subgraphs with the scanner")
 
-    for module, name in [(engine, "SubgraphScanner"), (engine, "scan"), (homology_module, "scan")]:
+    for module, name in [(engine, "SubgraphScanner"), (engine, "scan")]:
         monkeypatch.setattr(module, name, refuse)
     for m in (tb2, octagon, *random_maps_of_genus(2, 2, 7, seed=308, min_edges=6)):
         assert verify_subgroup_duality(m).all_passed
@@ -565,3 +578,57 @@ def test_subgroup_duality_fails_on_a_miscounted_dual_nullity(tb2, octagon, monke
         assert rep.verdicts[0].witness == f"map={m!r} mask={chosen['mask']}"
         v_h, v_hs = chosen["spans"]
         assert v_hs == orthogonal_complement(v_h, _radial_links(m, m.dual())[0].form)
+
+
+def _tilde_p_inputs(tb2, octagon):
+    maps = (tb2, octagon, *random_maps_of_genus(2, 2, 7, seed=309, min_edges=6))
+    return [EmbeddedSubgraph.full(m) for m in maps]
+
+
+def test_tilde_p_sweeps_no_scanner(tb2, octagon, monkeypatch):
+    """tilde-P's one pass over the masks is its walk; the scanner is built
+    only for the frontier DP's counts."""
+    engine = importlib.import_module("surfpoly.invariants")
+    graphs = _tilde_p_inputs(tb2, octagon)
+    expected = [tilde_p(g) for g in graphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tilde_p swept the subgraphs with the scanner")
+
+    monkeypatch.setattr(engine, "scan", refuse)
+    monkeypatch.setattr(SubgraphScanner, "codes", refuse)
+    assert [tilde_p(g) for g in graphs] == expected
+
+
+def test_tilde_p_catches_a_dp_count_moved_between_exponents(tb2, octagon, monkeypatch):
+    real = homology_module.histogram
+
+    def moved(graph, cap):
+        """One subgraph of the first tuple moved to the same tuple with k + 1:
+        tb2 and octagon have one (c, k) only."""
+        hist = real(graph, cap)
+        a = next(iter(hist))
+        hist[a] -= 1
+        hist[a._replace(k=a.k + 1)] += 1
+        return hist
+
+    monkeypatch.setattr(homology_module, "histogram", moved)
+    for g in _tilde_p_inputs(tb2, octagon):
+        with pytest.raises(InternalInvariantError, match="frontier DP"):
+            tilde_p(g)
+
+
+@pytest.mark.parametrize("pick", [0, 1, -1], ids=["empty H", "first edge", "all edges"])
+def test_tilde_p_catches_a_miscounted_walk_nullity(tb2, octagon, monkeypatch, pick):
+    real = homology_module._walk
+    chosen = {}
+
+    def miscount(*args, **kwargs):
+        for mask, (v, nullity) in real(*args, **kwargs):
+            yield mask, (v, nullity + (mask == chosen["mask"]))
+
+    monkeypatch.setattr(homology_module, "_walk", miscount)
+    for g in _tilde_p_inputs(tb2, octagon):
+        chosen["mask"] = pick & ((1 << len(g.sorted_edges)) - 1)
+        with pytest.raises(InternalInvariantError, match="frontier DP"):
+            tilde_p(g)
