@@ -97,8 +97,10 @@ class SubgraphScanner:
         knode = {d: next(number) for d in host.darts if vertex_of[d] in marked}
         self.sizes = (len(marked), len(fnode) + len(vnode) - len(marked), len(knode))
         # a code's fields, low to high: e(H), then the merges of each range
-        self.widths = tuple(n.bit_length() for n in (len(self.edges), *self.sizes))
-        w_c, w_perp, w_bc = (1 << sum(self.widths[:i]) for i in (1, 2, 3))
+        widths = [n.bit_length() for n in (len(self.edges), *self.sizes)]
+        self.shifts = tuple(sum(widths[:i]) for i in range(4))
+        self.masks = tuple((1 << width) - 1 for width in widths)
+        w_c, w_perp, w_bc = (1 << shift for shift in self.shifts[1:])
 
         def in_links(e: int) -> list[tuple[int, int, int]]:
             d = alpha[e]
@@ -155,7 +157,12 @@ class SubgraphScanner:
         block, and it carries a dict from partial code to count.  A step
         applies the edge's out or in links to a copy of the state's
         union-find, adds the merge weights (and 1 for in), and drops the
-        classes no later edge touches.  One state, the empty one, remains.
+        classes no later edge touches.  A state's counts are a shift and a
+        dict, each code in the dict standing for code + shift: a branch
+        onto a new state passes its parent's dict on with a larger shift,
+        and the dict is copied only when a second branch lands on that
+        state, to merge the two.  One state, the empty one, remains; its
+        counts are returned as a fresh dict.
         """
         todo = dict(enumerate(self.steps))
         touch = {
@@ -169,7 +176,7 @@ class SubgraphScanner:
             done |= touch[i]
         last = {x: t for t, (i, _) in enumerate(order) for x in touch[i]}
 
-        states = {(): {self.base_code: 1}}
+        states = {(): (self.base_code, {0: 1})}
         frontier: list[int] = []
         for t, (i, pair) in enumerate(order):
             pos = {x: p for p, x in enumerate(frontier)}
@@ -181,11 +188,12 @@ class SubgraphScanner:
             branches = [(plus, [(pos[a], pos[b], w) for a, b, w in links]) for plus, links in pair]
             keep = [p for p, x in enumerate(pos) if last[x] > t]
             frontier = [x for x in pos if last[x] > t]
-            nxt: dict[tuple[int, ...], dict[int, int]] = {}
-            for state, counts in states.items():
+            nxt: dict[tuple[int, ...], tuple[int, dict[int, int]]] = {}
+            merged = set()  # the states whose dict is their own
+            for state, (shift, counts) in states.items():
                 for branch in branches:
                     parent = [*state, *fresh]
-                    gained = _link(parent, 0, branch)
+                    gained = _link(parent, shift, branch)
                     first = {}
                     key = []
                     for j, p in enumerate(keep):
@@ -200,23 +208,32 @@ class SubgraphScanner:
                                 f"frontier DP needs more than {MAX_STATES} states at edge "
                                 f"{t + 1} of {len(order)}"
                             )
-                        nxt[key] = {code + gained: cnt for code, cnt in counts.items()}
+                        nxt[key] = (gained, counts)
+                        continue
+                    if key in merged:
+                        into = into[1]
                     else:
-                        for code, cnt in counts.items():
-                            into[code + gained] = into.get(code + gained, 0) + cnt
+                        into = {code + into[0]: cnt for code, cnt in into[1].items()}
+                        nxt[key] = (0, into)
+                        merged.add(key)
+                    for code, cnt in counts.items():
+                        into[code + gained] = into.get(code + gained, 0) + cnt
             states = nxt
-        return states[()]
+        shift, counts = states[()]
+        return {code + shift: cnt for code, cnt in counts.items()}
 
     def decode(self, code: int) -> SubgraphInvariants:
-        """Invariants of the subgraph with this code, range-checked."""
-        fields = []
-        for width in self.widths:
-            fields.append(code & (1 << width) - 1)
-            code >>= width
-        e_count, *merges = fields
+        """Invariants of the subgraph with this code, range-checked; each
+        field is read at its fixed shift."""
+        _, s_c, s_perp, s_bc = self.shifts
+        m_e, m_c, m_perp, m_bc = self.masks
+        n_c, n_perp, n_bc = self.sizes
         iso = self.isolated
-        c, c_perp, bc = (size - merged + iso for size, merged in zip(self.sizes, merges))
-        v_count = self.sizes[0] + iso
+        e_count = code & m_e
+        c = n_c - (code >> s_c & m_c) + iso
+        c_perp = n_perp - (code >> s_perp & m_perp) + iso
+        bc = n_bc - (code >> s_bc & m_bc) + iso
+        v_count = n_c + iso
         s = 2 * c - v_count + e_count - bc
         chi_perp = self.chi_sigma - (v_count - e_count)
         s_perp = 2 * c_perp - chi_perp - bc

@@ -20,7 +20,7 @@ Coeffable = Union["LaurentPolynomial", int]
 
 
 class LaurentPolynomial:
-    __slots__ = ("_vars", "_terms")
+    __slots__ = ("_vars", "_terms", "_string")
 
     def __init__(
         self,
@@ -28,6 +28,7 @@ class LaurentPolynomial:
         terms: Mapping[tuple[int, ...], int] | None = None,
     ):
         self._vars, self._terms = _normalize(tuple(variables), terms or {})
+        self._string: str | None = None  # the canonical string, once built
 
     # -- constructors --------------------------------------------------------
 
@@ -193,7 +194,13 @@ class LaurentPolynomial:
 
     def to_canonical_string(self) -> str:
         """Deterministic text form: terms graded-lex by exponent vector over
-        alphabetical variables; equality of polynomials iff string equality."""
+        alphabetical variables; equality of polynomials iff string equality.
+        A polynomial is immutable, so the string is built once and kept."""
+        if self._string is None:
+            self._string = self._canonical_string()
+        return self._string
+
+    def _canonical_string(self) -> str:
         if not self._terms:
             return "0"
         # keys are distinct: ascending total degree, then descending exponents

@@ -63,6 +63,14 @@ def _cycles(perm: Perm) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def find(parent: dict, x):
+    """The root of x in the union-find forest ``parent`` (a dict from each
+    element to its parent), halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
 class UnionFind:
     """Plain union-find over arbitrary hashable elements."""
 
@@ -70,13 +78,7 @@ class UnionFind:
         self.parent = {x: x for x in elements}
 
     def find(self, x):
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
+        return find(self.parent, x)
 
     def union(self, x, y) -> None:
         rx, ry = self.find(x), self.find(y)
@@ -262,7 +264,8 @@ class CombinatorialMap:
         Each surviving dart's new rotation successor is its old one, with
         contracted darts skipped along sigma∘alpha.  The surface is
         unchanged (v and e drop together, faces are preserved); a tree
-        that keeps no dart becomes an isolated vertex.
+        that keeps no dart becomes an isolated vertex, a sphere.  So the
+        result carries this map's total genus, and it is not recounted.
         """
         uf, gone = UnionFind(self.vertex_ids), set()
         for e in forest:
@@ -281,9 +284,11 @@ class CombinatorialMap:
                 sigma[d] = x
         trees = {uf.find(self.vertex_of[d]) for d in gone}
         trees.difference_update(uf.find(self.vertex_of[d]) for d in sigma)
-        return CombinatorialMap(
+        out = CombinatorialMap(
             sigma, {d: self.alpha[d] for d in sigma}, self.isolated_vertices + len(trees)
         )
+        vars(out)["total_genus"] = self.total_genus
+        return out
 
     def relabeled(self, mapping: Mapping[int, int]) -> "CombinatorialMap":
         sigma = {mapping[d]: mapping[v] for d, v in self.sigma.items()}

@@ -19,9 +19,9 @@ import math
 from collections import Counter
 from typing import Callable, Iterable, Sequence
 
-from .invariants import DEFAULT_CAP, SubgraphInvariants, check_cap, histogram
+from .invariants import DEFAULT_CAP, SubgraphInvariants, SubgraphScanner, check_cap, histogram
 from .laurent import LaurentPolynomial
-from .maps import CombinatorialMap, EmbeddedSubgraph, UnionFind
+from .maps import CombinatorialMap, EmbeddedSubgraph, UnionFind, find
 from .report import PolynomialReport, Verdict
 
 _PVARS = ("X", "Y", "A", "B")
@@ -72,13 +72,23 @@ def _ribbon_histogram(m: CombinatorialMap, cap: int | None) -> Counter:
     return memo["_ribbon_histogram"]
 
 
+def _ribbon_p(m: CombinatorialMap, cap: int | None) -> LaurentPolynomial:
+    """P of the full ribbon graph of m, read off its kept histogram once and
+    kept beside it, so every report of m shares one P and its string."""
+    hist = _ribbon_histogram(m, cap)
+    memo = vars(m)
+    if "_ribbon_p" not in memo:
+        memo["_ribbon_p"] = _p_of(hist)
+    return memo["_ribbon_p"]
+
+
 def p_bruteforce(
     graph: EmbeddedSubgraph | CombinatorialMap, cap: int = DEFAULT_CAP
 ) -> LaurentPolynomial:
     """The state sum over all 2^e spanning subgraphs, read off the invariant
     histogram, which the frontier DP counts edge by edge."""
     if isinstance(graph, CombinatorialMap):
-        return _p_of(_ribbon_histogram(graph, cap))
+        return _ribbon_p(graph, cap)
     return _p_of(histogram(graph, cap))
 
 
@@ -89,43 +99,55 @@ def p_recursive(
     deleting e raises the component count (a bridge), P(G-e) + P(G/e)
     otherwise, and the histogram of a loops-only residue; agrees with
     p_bruteforce wherever both run.  Every minor stays on the input host: a
-    work stack holds its contracted and kept edges and its count b of
-    contracted bridges, a union-find of the marked vertices tells loops and
-    bridges, and a leaf contracts the host once, along its maximal spanning
-    forest.  A residue's exponent counts are summed per b, and (1+X)^b is
-    expanded by binomials once at the end.  More than ``cap`` edges are
-    refused on entry; a residue is never larger than its input, so it is
-    not capped."""
+    work stack holds its union-find of the marked vertices (a parent dict,
+    joined along its contracted edges), its contracted edges, its loops,
+    its pending edges and its count b of contracted bridges.  A loop stays
+    a loop under contraction, so each edge is tested once as it leaves the
+    front of the pending edges; the bridge test joins a throwaway copy of
+    the dict along the pending edges after e.  The deletion child takes a
+    copy of the dict and the contraction child one more union.  A leaf
+    contracts the host once, along its maximal spanning forest, and
+    projects each code of the residue's frontier DP straight to its
+    exponent vector, summed per b; (1+X)^b is expanded by binomials once at
+    the end.  More than ``cap`` edges are refused on entry; a residue is
+    never larger than its input, so it is not capped."""
     if isinstance(graph, CombinatorialMap):
         graph = EmbeddedSubgraph.full(graph)
     check_cap(len(graph.sorted_edges), cap)
     host, marked = graph.host, graph.g_vertices
     ends = {e: host.edge_endpoints(e) for e in graph.sorted_edges}
     residues: Counter = Counter()  # (b, exponent vector) -> subgraph count
-    stack = [((), graph.sorted_edges, 0)]
+    stack = [({v: v for v in marked}, (), (), graph.sorted_edges, 0)]
     while stack:
-        contracted, kept, bridges = stack.pop()
-        uf = UnionFind(marked)
-        for e in contracted:
-            uf.union(*ends[e])
-        find = uf.find
-        i = next((i for i, e in enumerate(kept) if find(ends[e][0]) != find(ends[e][1])), None)
-        if i is None:
+        parent, contracted, loops, pending, bridges = stack.pop()
+        for i, edge in enumerate(pending):
+            a, b = ends[edge]
+            u, w = find(parent, a), find(parent, b)
+            if u != w:
+                break
+        else:
             residue = host.contract(contracted)
             vids = {residue.vertex_of[d] for d in residue.sigma if host.vertex_of[d] in marked}
-            leaf = EmbeddedSubgraph(residue, frozenset(vids), frozenset(kept))
-            for exps, cnt in _exponents(histogram(leaf, None), _p_key).items():
-                residues[bridges, exps] += cnt
+            sc = SubgraphScanner(
+                EmbeddedSubgraph(residue, frozenset(vids), frozenset(loops + pending))
+            )
+            decoded = [(sc.decode(code), cnt) for code, cnt in sc.code_counts().items()]
+            c_g = min(inv.c for inv, _ in decoded)
+            for inv, cnt in decoded:
+                residues[bridges, _p_key(inv, c_g)] += cnt
             continue
-        edge, rest = kept[i], kept[:i] + kept[i + 1:]
-        for f in kept[i + 1:]:  # the edges before it are loops, which join nothing
-            uf.union(*ends[f])
-        u, w = ends[edge]
-        if find(u) != find(w):  # a bridge
-            stack.append(((*contracted, edge), rest, bridges + 1))
+        loops, rest = loops + pending[:i], pending[i + 1:]
+        joined = parent.copy()
+        for a, b in map(ends.__getitem__, rest):
+            a, b = find(joined, a), find(joined, b)
+            joined[b] = a
+        if find(joined, u) != find(joined, w):  # a bridge
+            parent[w] = u
+            stack.append((parent, (*contracted, edge), loops, rest, bridges + 1))
         else:
-            stack.append((contracted, rest, bridges))
-            stack.append(((*contracted, edge), rest, bridges))
+            stack.append((parent.copy(), contracted, loops, rest, bridges))
+            parent[w] = u
+            stack.append((parent, (*contracted, edge), loops, rest, bridges))
     terms: Counter = Counter()
     for (bridges, (x, *yab)), cnt in residues.items():
         for j in range(bridges + 1):
@@ -285,7 +307,7 @@ def verify_specializations(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> Polyn
     g = m.total_genus
     # P, BR and P' are read from the one histogram kept on m
     hist = _ribbon_histogram(m, cap)
-    p = _p_of(hist)
+    p = _ribbon_p(m, cap)
     y = LaurentPolynomial.variable("Y")
     verdicts = []
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfpoly.corpus import alternating_diagrams
-from surfpoly.errors import NotSpanning
+from surfpoly.errors import InternalInvariantError, NotSpanning
 from surfpoly.invariants import SubgraphScanner, dual_subgraph, invariants, scan, walk
 from surfpoly.links import tait_graph
 from surfpoly.maps import CombinatorialMap, EmbeddedSubgraph, random_map, standard_alpha
@@ -200,6 +200,33 @@ def test_frontier_dp_matches_sweep_up_to_14_edges(n_edges, seed, marked, isolate
         m = CombinatorialMap(dict(m.sigma), dict(m.alpha), isolated)
     sc = SubgraphScanner(random_marking(m, rng) if marked else EmbeddedSubgraph.full(m))
     assert sc.code_counts() == Counter(sc.codes())
+
+
+def test_code_counts_returns_a_fresh_dict(tb2, octagon):
+    # a state passes its parent's dict on and copies it only on a merge, so
+    # the dict returned must still be the caller's own
+    path = CombinatorialMap({1: 1, 2: 3, 3: 2, 4: 5, 5: 4, 6: 6}, standard_alpha(3))
+    graphs = [
+        EmbeddedSubgraph(tb2, frozenset(tb2.vertex_ids), frozenset()),  # no step
+        EmbeddedSubgraph.full(path),  # both branches of each bridge land on one state
+        EmbeddedSubgraph.full(octagon),  # genus 2: some steps merge, some pass dicts on
+    ]
+    for graph in graphs:
+        sc = SubgraphScanner(graph)
+        counts = sc.code_counts()
+        for code in counts:
+            counts[code] += 1
+        counts[-1] = 1
+        assert sc.code_counts() == Counter(sc.codes()), graph
+
+
+def test_decode_catches_a_parity_violation(tb2):
+    sc = SubgraphScanner(EmbeddedSubgraph.full(tb2))
+    code = sc.codes()[0]
+    sc.decode(code)
+    sc.chi_sigma += 1
+    with pytest.raises(InternalInvariantError, match="parity violation"):
+        sc.decode(code)
 
 
 def test_sweep_matches_reference_on_minor_residues():

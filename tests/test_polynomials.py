@@ -179,6 +179,29 @@ def test_p_recursive_contracts_once_per_leaf(monkeypatch):
         assert len(calls) == t.terms.get((0,) * len(t.variables), 0), serialize_map(m)
 
 
+def test_p_recursive_builds_no_union_find_beyond_contract(monkeypatch):
+    # the work stack carries each minor's union-find as a parent dict, so
+    # the only UnionFind built is the one in each leaf's contract call
+    built, contracted = [], []
+    real_init, real_contract = UnionFind.__init__, CombinatorialMap.contract
+
+    def counted_init(self, elements=()):
+        built.append(self)
+        real_init(self, elements)
+
+    def counted_contract(self, forest):
+        contracted.append(forest)
+        return real_contract(self, forest)
+
+    monkeypatch.setattr(UnionFind, "__init__", counted_init)
+    monkeypatch.setattr(CombinatorialMap, "contract", counted_contract)
+    for m in random_maps(60, 9, 3):
+        built.clear()
+        contracted.clear()
+        p_recursive(m)
+        assert contracted and len(built) == len(contracted), serialize_map(m)
+
+
 def test_contraction_deletion_rules():
     rng = random.Random(53)
     x = L.variable("X")
@@ -447,6 +470,16 @@ def test_a_failed_count_leaves_no_histogram(monkeypatch, theta):
             p_bruteforce(m)
     monkeypatch.undo()
     assert p_bruteforce(m) == p_bruteforce(fresh(theta))
+
+
+def test_duality_and_specializations_share_one_p_string(tb2, theta, octagon):
+    # P of a map is kept beside its histogram, and a polynomial keeps its
+    # canonical string, so both reports of one map hold the same string
+    for m in (fresh(tb2), fresh(theta), fresh(octagon), *random_maps(4, 7, 5)):
+        p_string = verify_duality(m).polynomials["P_G"]
+        assert verify_specializations(m).polynomials["P_G"] is p_string
+        assert p_bruteforce(m).to_canonical_string() is p_string
+
 
 def test_threads_option_is_refused(capsys, data_dir):
     # --threads had no effect and is gone; argparse refuses it with exit 2
