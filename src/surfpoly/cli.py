@@ -265,22 +265,28 @@ def _verify_all(args) -> list[tuple[str, PolynomialReport]]:
 
 def cmd_corpus(args) -> int:
     # edge counts are drawn from [least, --max-edges]: a genus-g map has at
-    # least 2g edges, and a diagram at least 2 crossings
+    # least 2g edges, and a diagram at least 2 crossings; maps are of any
+    # genus unless --genus is given, diagrams of genus 1
     if args.count < 0:
         raise SurfPolyError(f"--count must be at least 0, not {args.count}")
-    if args.kind == "diagrams" and args.genus < 0:
-        raise SurfPolyError(f"--genus must be at least 0, not {args.genus}")
-    least = 1 if args.kind == "maps" else max(2, 2 * args.genus)
+    genus = 1 if args.genus is None and args.kind == "diagrams" else args.genus
+    if genus is not None and genus < 0:
+        raise SurfPolyError(f"--genus must be at least 0, not {genus}")
+    least = max(2 * (genus or 0), 1 if args.kind == "maps" else 2)
     if args.max_edges < least:
         raise SurfPolyError(f"--max-edges must be at least {least}, not {args.max_edges}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.kind == "maps":
-        items = corpus_mod.random_maps(args.count, args.max_edges, seed=args.seed)
-        name, serialize, tag = "map_{:04d}.map", partial(serialize_map, canonical=True), ""
+    tag = "" if genus is None else f" genus={genus}"
+    if args.kind == "diagrams":
+        items = corpus_mod.alternating_diagrams(args.count, genus, args.max_edges, seed=args.seed)
+        name, serialize = "diagram_{:04d}.vlk", serialize_diagram
     else:
-        items = corpus_mod.alternating_diagrams(args.count, args.genus, args.max_edges, seed=args.seed)
-        name, serialize, tag = "diagram_{:04d}.vlk", serialize_diagram, f" genus={args.genus}"
+        if genus is None:
+            items = corpus_mod.random_maps(args.count, args.max_edges, seed=args.seed)
+        else:
+            items = corpus_mod.random_maps_of_genus(args.count, genus, args.max_edges, seed=args.seed)
+        name, serialize = "map_{:04d}.map", partial(serialize_map, canonical=True)
     written = []
     for i, item in enumerate(items):
         path = out / name.format(i)
@@ -343,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--max-edges", type=int, default=8)
-    p.add_argument("--genus", type=int, default=1)
+    p.add_argument("--genus", type=int, help="genus of every item (default: any for maps, 1 for diagrams)")
     p.set_defaults(fn=cmd_corpus)
     return parser
 

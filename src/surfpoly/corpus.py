@@ -5,8 +5,16 @@ from __future__ import annotations
 import random
 from itertools import permutations, product
 
+from .errors import InternalInvariantError, SurfPolyError
 from .links import LinkDiagram, medial_diagram
-from .maps import CombinatorialMap, random_map, standard_alpha
+from .maps import (
+    CombinatorialMap,
+    random_map,
+    random_rotation,
+    rotation_has_genus,
+    rotation_map,
+    standard_alpha,
+)
 
 
 def all_maps(max_edges: int) -> list[CombinatorialMap]:
@@ -43,6 +51,8 @@ def random_maps(
     count: int, max_edges: int, seed: int, min_edges: int = 1
 ) -> list[CombinatorialMap]:
     """Seeded random maps with edge counts uniform in [min_edges, max_edges]."""
+    if min_edges > max_edges:
+        raise SurfPolyError(f"min_edges {min_edges} exceeds max_edges {max_edges}")
     rng = random.Random(seed)
     return [random_map(rng.randint(min_edges, max_edges), rng) for _ in range(count)]
 
@@ -54,7 +64,21 @@ def random_maps_of_genus(
     seed: int,
     min_edges: int = 1,
 ) -> list[CombinatorialMap]:
-    """Seeded random maps of a prescribed total genus (rejection sampling)."""
+    """Seeded random maps of a prescribed total genus.
+
+    Rejection sampling: each candidate is drawn as :func:`random_maps`
+    draws a map, with its edge count uniform in [max(min_edges, 2 * genus),
+    max_edges], its genus is counted on the rotation list, and only a kept
+    candidate is built into a map, whose own genus is checked again.
+    """
+    if genus < 0:
+        raise SurfPolyError(f"genus must be at least 0, not {genus}")
+    least = max(min_edges, 2 * genus)
+    if least > max_edges:
+        raise SurfPolyError(
+            f"a genus-{genus} map of at least {min_edges} edges has at least {least}, "
+            f"more than max_edges {max_edges}"
+        )
     rng = random.Random(seed)
     out: list[CombinatorialMap] = []
     attempts = 0
@@ -62,8 +86,13 @@ def random_maps_of_genus(
         attempts += 1
         if attempts > 100000 * count:
             raise RuntimeError(f"cannot sample genus {genus} with <= {max_edges} edges")
-        m = random_map(rng.randint(max(min_edges, 2 * genus), max_edges), rng)
-        if m.total_genus == genus:
+        images = random_rotation(rng.randint(least, max_edges), rng)
+        if rotation_has_genus(images, genus):
+            m = rotation_map(images)
+            if m.total_genus != genus:
+                raise InternalInvariantError(
+                    f"rotation counted as genus {genus} builds a map of genus {m.total_genus}"
+                )
             out.append(m)
     return out
 

@@ -640,11 +640,57 @@ def standard_alpha(n_edges: int) -> Perm:
     return alpha
 
 
+def random_rotation(n_edges: int, rng: random.Random) -> list[int]:
+    """A uniform random rotation on darts 1..2*n_edges, drawn by one
+    shuffle: the list of sigma's images, sigma(d) at index d - 1."""
+    images = list(range(1, 2 * n_edges + 1))
+    rng.shuffle(images)
+    return images
+
+
+def rotation_map(images: list[int]) -> CombinatorialMap:
+    """The map of a rotation list with the standard alpha."""
+    darts = range(1, len(images) + 1)
+    return CombinatorialMap(dict(zip(darts, images)), standard_alpha(len(images) // 2))
+
+
 def random_map(n_edges: int, rng: random.Random) -> CombinatorialMap:
     """Uniform random rotation system on 2*n_edges darts with the standard
     alpha; every such pair is a cellulation of some oriented surface."""
-    darts = list(range(1, 2 * n_edges + 1))
-    images = darts[:]
-    rng.shuffle(images)
-    sigma = dict(zip(darts, images))
-    return CombinatorialMap(sigma, standard_alpha(n_edges))
+    return rotation_map(random_rotation(n_edges, rng))
+
+
+def _n_cycles(perm: list[int]) -> int:
+    """Cycles of a permutation of 1..n given as the list [0, p(1), ..., p(n)]."""
+    seen = bytearray(len(perm))
+    count = 0
+    for start in range(1, len(perm)):
+        if not seen[start]:
+            count += 1
+            d = start
+            while not seen[d]:
+                seen[d] = 1
+                d = perm[d]
+    return count
+
+
+def rotation_has_genus(images: list[int], genus: int) -> bool:
+    """Whether ``rotation_map(images)`` has total genus ``genus``, counted
+    on the list without building the map.
+
+    Euler's formula over the c components reads v - e + f = 2c - 2g, with
+    v the cycles of sigma and f those of phi(d) = sigma(alpha(d)), so the
+    genus is g exactly when v + f - e + 2g = 2c.  A map with darts has
+    c >= 1, so the components are searched only when v + f - e + 2g
+    reaches 2; the empty rotation has c = 0.
+    """
+    sigma = [0, *images]
+    # the standard alpha swaps 2i - 1 and 2i, so phi(2i - 1) = sigma(2i)
+    # and phi(2i) = sigma(2i - 1)
+    phi = sigma[:]
+    phi[1::2], phi[2::2] = images[1::2], images[0::2]
+    two_c = _n_cycles(sigma) + _n_cycles(phi) - len(images) // 2 + 2 * genus  # 2c that g needs
+    if images and two_c < 2:
+        return False
+    alpha = standard_alpha(len(images) // 2)
+    return two_c == 2 * len(_orbits(alpha, sigma, alpha))

@@ -220,6 +220,31 @@ def test_corpus_command(capsys, tmp_path):
     assert len(sorted(out_dir.glob("*.vlk"))) == 2
 
 
+def test_corpus_maps_of_a_genus(capsys, tmp_path):
+    from surfpoly.corpus import random_maps
+    from surfpoly.maps import parse_map, serialize_map
+
+    code, out, _ = run_cli(
+        capsys, "--seed", "4", "corpus", "maps", "--out", str(tmp_path / "any"), "--count", "5"
+    )
+    assert code == 0
+    # without --genus the maps are random_maps' own, in canonical form
+    assert [open(path).read() for path in out.split()] == [
+        serialize_map(m, canonical=True, comment=f"seed=4 index={i}")
+        for i, m in enumerate(random_maps(5, 8, seed=4))
+    ]
+    for genus, max_edges in [(0, 3), (2, 6)]:
+        code, out, _ = run_cli(
+            capsys, "corpus", "maps", "--out", str(tmp_path / f"g{genus}"),
+            "--count", "6", "--max-edges", str(max_edges), "--genus", str(genus),
+        )
+        assert code == 0
+        for i, path in enumerate(out.split()):
+            text = open(path).read()
+            assert text.startswith(f"# seed=2024 genus={genus} index={i}\n")
+            assert parse_map(text).total_genus == genus
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -228,6 +253,8 @@ def test_corpus_command(capsys, tmp_path):
         ["diagrams", "--genus", "3", "--max-edges", "5"],
         ["diagrams", "--genus", "-1"],
         ["maps", "--count", "-3"],
+        ["maps", "--genus", "-1"],
+        ["maps", "--genus", "3", "--max-edges", "5"],
     ],
     ids=" ".join,
 )
