@@ -360,6 +360,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify" and args.what != "all" and not args.file:
         parser.error(f"verify {args.what} needs an input file")
     try:
+        if args.cap < 0:
+            raise SurfPolyError(f"--cap must be at least 0, not {args.cap}")
         return args.fn(args)
     except (SurfPolyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

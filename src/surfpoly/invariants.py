@@ -124,19 +124,8 @@ class SubgraphScanner:
         self.base_code = _link(parent, 0, (0, unmarked))
         self.base = tuple(parent)
 
-        def lift(plus: int, links: list[tuple[int, int, int]]) -> Step:
-            lifted = []
-            for a, b, weight in links:
-                while parent[a] != a:
-                    a = parent[a]
-                while parent[b] != b:
-                    b = parent[b]
-                if a != b:
-                    lifted.append((a, b, weight))
-            return plus, lifted
-
         self.steps: tuple[tuple[Step, Step], ...] = tuple(
-            (lift(0, out_links(e)), lift(1, in_links(e))) for e in self.edges
+            (_lift(parent, 0, out_links(e)), _lift(parent, 1, in_links(e))) for e in self.edges
         )
 
     def codes(self) -> array:
@@ -145,82 +134,20 @@ class SubgraphScanner:
         return array("q", walk(list(self.base), self.base_code, self.steps, _link))
 
     def code_counts(self) -> dict[int, int]:
-        """How many subgraphs have each code: ``Counter(self.codes())``,
-        built one marked edge at a time without visiting a mask (the
-        transfer-matrix method of Sekine, Imai and Tani, ISAAC 1995).
+        """How many subgraphs have each code: ``Counter(self.codes())``, by the DP."""
+        return frontier_counts(self.base_code, self.steps)
 
-        The DP runs on the classes of ``base``, which the steps' links
-        join.  Edges go in greedy order, each next the one sharing
-        most classes with those done (lowest index on ties).  The frontier
-        is the classes that both a done and a later edge touch; a state is
-        their partition, each position holding the first position of its
-        block, and it carries a dict from partial code to count.  A step
-        applies the edge's out or in links to a copy of the state's
-        union-find, adds the merge weights (and 1 for in), and drops the
-        classes no later edge touches.  A state's counts are a shift and a
-        dict, each code in the dict standing for code + shift: a branch
-        onto a new state passes its parent's dict on with a larger shift,
-        and the dict is copied only when a second branch lands on that
-        state, to merge the two.  One state, the empty one, remains; its
-        counts are returned as a fresh dict.
-        """
-        todo = dict(enumerate(self.steps))
-        touch = {
-            i: {x for _, links in pair for a, b, _ in links for x in (a, b)}
-            for i, pair in todo.items()
-        }
-        order, done = [], set()
-        while todo:
-            i = max(todo, key=lambda j: len(touch[j] & done))  # first max: lowest index
-            order.append((i, todo.pop(i)))
-            done |= touch[i]
-        last = {x: t for t, (i, _) in enumerate(order) for x in touch[i]}
-
-        states = {(): (self.base_code, {0: 1})}
-        frontier: list[int] = []
-        for t, (i, pair) in enumerate(order):
-            pos = {x: p for p, x in enumerate(frontier)}
-            fresh = []
-            for x in touch[i]:
-                if x not in pos:
-                    fresh.append(len(pos))
-                    pos[x] = len(pos)
-            branches = [(plus, [(pos[a], pos[b], w) for a, b, w in links]) for plus, links in pair]
-            keep = [p for p, x in enumerate(pos) if last[x] > t]
-            frontier = [x for x in pos if last[x] > t]
-            nxt: dict[tuple[int, ...], tuple[int, dict[int, int]]] = {}
-            merged = set()  # the states whose dict is their own
-            for state, (shift, counts) in states.items():
-                for branch in branches:
-                    parent = [*state, *fresh]
-                    gained = _link(parent, shift, branch)
-                    first = {}
-                    key = []
-                    for j, p in enumerate(keep):
-                        while parent[p] != p:
-                            p = parent[p]
-                        key.append(first.setdefault(p, j))
-                    key = tuple(key)
-                    into = nxt.get(key)
-                    if into is None:
-                        if len(nxt) == MAX_STATES:
-                            raise TooManyStates(
-                                f"frontier DP needs more than {MAX_STATES} states at edge "
-                                f"{t + 1} of {len(order)}"
-                            )
-                        nxt[key] = (gained, counts)
-                        continue
-                    if key in merged:
-                        into = into[1]
-                    else:
-                        into = {code + into[0]: cnt for code, cnt in into[1].items()}
-                        nxt[key] = (0, into)
-                        merged.add(key)
-                    for code, cnt in counts.items():
-                        into[code + gained] = into.get(code + gained, 0) + cnt
-            states = nxt
-        shift, counts = states[()]
-        return {code + shift: cnt for code, cnt in counts.items()}
+    def pinned(self, ins: Iterable[int], outs: Iterable[int], free: Iterable[int]) -> tuple:
+        """The base code and steps over the marked edges ``free`` (indices,
+        in that order) of the subgraphs with the edges ``ins`` in and
+        ``outs`` out: their :func:`frontier_counts` counts ``codes()`` over
+        those masks.  Free links are lifted to the pinned classes."""
+        parent, code, steps = list(self.base), self.base_code, self.steps
+        for i in ins:
+            code = _link(parent, code, steps[i][1])
+        for i in outs:
+            code = _link(parent, code, steps[i][0])
+        return code, tuple((_lift(parent, *steps[i][0]), _lift(parent, *steps[i][1])) for i in free)
 
     def decode(self, code: int) -> SubgraphInvariants:
         """Invariants of the subgraph with this code, range-checked; each
@@ -294,6 +221,85 @@ def walk(uf: list, acc: Any, steps: Sequence, apply: Callable) -> Iterator[Any]:
         yield acc
 
 
+def frontier_counts(base_code: int, steps: Sequence[tuple[Step, Step]]) -> dict[int, int]:
+    """How many masks over ``steps`` reach each code from ``base_code``, the
+    Counter of a :func:`walk`, built one step at a time without visiting a
+    mask (the transfer-matrix method of Sekine, Imai and Tani, ISAAC 1995);
+    each link joins two classes of the union-find the walk starts from.
+
+    Edges go in greedy order, each next the one sharing
+    most classes with those done (lowest index on ties).  The frontier
+    is the classes that both a done and a later edge touch; a state is
+    their partition, each position holding the first position of its
+    block, and it carries a dict from partial code to count.  A step
+    applies the edge's out or in links to a copy of the state's
+    union-find, adds the merge weights (and 1 for in), and drops the
+    classes no later edge touches.  A state's counts are a shift and a
+    dict, each code in the dict standing for code + shift: a branch
+    onto a new state passes its parent's dict on with a larger shift,
+    and the dict is copied only when a second branch lands on that
+    state, to merge the two.  One state, the empty one, remains; its
+    counts are returned as a fresh dict.
+    """
+    todo = dict(enumerate(steps))
+    touch = {
+        i: {x for _, links in pair for a, b, _ in links for x in (a, b)}
+        for i, pair in todo.items()
+    }
+    order, done = [], set()
+    while todo:
+        i = max(todo, key=lambda j: len(touch[j] & done))  # first max: lowest index
+        order.append((i, todo.pop(i)))
+        done |= touch[i]
+    last = {x: t for t, (i, _) in enumerate(order) for x in touch[i]}
+
+    states = {(): (base_code, {0: 1})}
+    frontier: list[int] = []
+    for t, (i, pair) in enumerate(order):
+        pos = {x: p for p, x in enumerate(frontier)}
+        fresh = []
+        for x in touch[i]:
+            if x not in pos:
+                fresh.append(len(pos))
+                pos[x] = len(pos)
+        branches = [(plus, [(pos[a], pos[b], w) for a, b, w in links]) for plus, links in pair]
+        keep = [p for p, x in enumerate(pos) if last[x] > t]
+        frontier = [x for x in pos if last[x] > t]
+        nxt: dict[tuple[int, ...], tuple[int, dict[int, int]]] = {}
+        merged = set()  # the states whose dict is their own
+        for state, (shift, counts) in states.items():
+            for branch in branches:
+                parent = [*state, *fresh]
+                gained = _link(parent, shift, branch)
+                first = {}
+                key = []
+                for j, p in enumerate(keep):
+                    while parent[p] != p:
+                        p = parent[p]
+                    key.append(first.setdefault(p, j))
+                key = tuple(key)
+                into = nxt.get(key)
+                if into is None:
+                    if len(nxt) == MAX_STATES:
+                        raise TooManyStates(
+                            f"frontier DP needs more than {MAX_STATES} states at edge "
+                            f"{t + 1} of {len(order)}"
+                        )
+                    nxt[key] = (gained, counts)
+                    continue
+                if key in merged:
+                    into = into[1]
+                else:
+                    into = {code + into[0]: cnt for code, cnt in into[1].items()}
+                    nxt[key] = (0, into)
+                    merged.add(key)
+                for code, cnt in counts.items():
+                    into[code + gained] = into.get(code + gained, 0) + cnt
+        states = nxt
+    shift, counts = states[()]
+    return {code + shift: cnt for code, cnt in counts.items()}
+
+
 def _link(parent: list[int], code: int, step: Step) -> int:
     """Apply a :data:`Step` (plus, links) to the union-find ``parent``;
     returns ``code + plus`` plus the weights of the links (a, b, weight)
@@ -309,6 +315,20 @@ def _link(parent: list[int], code: int, step: Step) -> int:
             parent[b] = a
             code += weight
     return code
+
+
+def _lift(parent: list[int], plus: int, links: list[tuple[int, int, int]]) -> Step:
+    """The step (plus, links) with each link lifted to the classes of the
+    union-find ``parent`` (only read), and dropped inside one class."""
+    lifted = []
+    for a, b, weight in links:
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            lifted.append((a, b, weight))
+    return plus, lifted
 
 
 def scan(

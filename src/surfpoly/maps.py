@@ -264,8 +264,7 @@ class CombinatorialMap:
         Each surviving dart's new rotation successor is its old one, with
         contracted darts skipped along sigma∘alpha.  The surface is
         unchanged (v and e drop together, faces are preserved); a tree
-        that keeps no dart becomes an isolated vertex, a sphere.  So the
-        result carries this map's total genus, and it is not recounted.
+        that keeps no dart becomes an isolated vertex.
         """
         uf, gone = UnionFind(self.vertex_ids), set()
         for e in forest:
@@ -284,11 +283,9 @@ class CombinatorialMap:
                 sigma[d] = x
         trees = {uf.find(self.vertex_of[d]) for d in gone}
         trees.difference_update(uf.find(self.vertex_of[d]) for d in sigma)
-        out = CombinatorialMap(
+        return CombinatorialMap(
             sigma, {d: self.alpha[d] for d in sigma}, self.isolated_vertices + len(trees)
         )
-        vars(out)["total_genus"] = self.total_genus
-        return out
 
     def relabeled(self, mapping: Mapping[int, int]) -> "CombinatorialMap":
         sigma = {mapping[d]: mapping[v] for d, v in self.sigma.items()}

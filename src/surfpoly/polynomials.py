@@ -8,9 +8,10 @@ host surface of total genus g:
 Two evaluators are provided: a projection of the histogram of subgraph
 invariants, which the engine counts with a frontier DP edge by edge, and
 contraction-deletion over an explicit work stack (on the lowest non-loop
-edge: a (1+X) factor for a bridge, delete plus contract otherwise, and the
-histogram of a loops-only residue).  The verifiers compute both sides of
-each published identity exactly and compare canonical forms.
+edge: a (1+X) factor for a bridge, delete plus contract otherwise, and at a
+leaf the DP over its loops with its forest pinned in and its deletions
+out).  The verifiers compute both sides of each published identity
+exactly and compare canonical forms.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import math
 from collections import Counter
 from typing import Callable, Iterable, Sequence
 
-from .invariants import DEFAULT_CAP, SubgraphInvariants, SubgraphScanner, check_cap, histogram
+from .invariants import DEFAULT_CAP, SubgraphInvariants, SubgraphScanner, check_cap
+from .invariants import frontier_counts, histogram
 from .laurent import LaurentPolynomial
 from .maps import CombinatorialMap, EmbeddedSubgraph, UnionFind, find
 from .report import PolynomialReport, Verdict
@@ -97,44 +99,41 @@ def p_recursive(
 ) -> LaurentPolynomial:
     """Contraction-deletion on the lowest non-loop edge e: (1+X) P(G/e) when
     deleting e raises the component count (a bridge), P(G-e) + P(G/e)
-    otherwise, and the histogram of a loops-only residue; agrees with
-    p_bruteforce wherever both run.  Every minor stays on the input host: a
-    work stack holds its union-find of the marked vertices (a parent dict,
-    joined along its contracted edges), its contracted edges, its loops,
-    its pending edges and its count b of contracted bridges.  A loop stays
-    a loop under contraction, so each edge is tested once as it leaves the
-    front of the pending edges; the bridge test joins a throwaway copy of
-    the dict along the pending edges after e.  The deletion child takes a
-    copy of the dict and the contraction child one more union.  A leaf
-    contracts the host once, along its maximal spanning forest, and
-    projects each code of the residue's frontier DP straight to its
-    exponent vector, summed per b; (1+X)^b is expanded by binomials once at
-    the end.  More than ``cap`` edges are refused on entry; a residue is
-    never larger than its input, so it is not capped."""
+    otherwise, and the histogram of a loops-only minor; agrees with
+    p_bruteforce wherever both run.  A work stack holds each minor's
+    union-find of the marked vertices (a parent dict, joined along its
+    contracted edges), its contracted, deleted and loop edges, its pending
+    edges and its count b of contracted bridges, edges as indices into the
+    input's one :class:`SubgraphScanner`.  A loop stays a loop under
+    contraction, so each edge is tested once as it leaves the front of the
+    pending edges; the bridge test joins a throwaway copy of the dict along
+    the pending edges after e.  The deletion child takes a copy of the dict
+    and the contraction child one more union.  Contracting a non-loop edge
+    changes none of c, k, s and s_perp, so a leaf's minor is the input with
+    its maximal spanning forest pinned in and its deleted edges pinned out
+    (:meth:`SubgraphScanner.pinned`): the frontier DP over its loops counts
+    input codes, summed per b.  Each distinct code is decoded once at the
+    end, c(G) is the least decoded c, and (1+X)^b is expanded by binomials.
+    More than ``cap`` edges are refused on entry; a leaf's DP is over fewer
+    edges, so it is not capped again."""
     if isinstance(graph, CombinatorialMap):
         graph = EmbeddedSubgraph.full(graph)
     check_cap(len(graph.sorted_edges), cap)
-    host, marked = graph.host, graph.g_vertices
-    ends = {e: host.edge_endpoints(e) for e in graph.sorted_edges}
-    residues: Counter = Counter()  # (b, exponent vector) -> subgraph count
-    stack = [({v: v for v in marked}, (), (), graph.sorted_edges, 0)]
+    sc = SubgraphScanner(graph)
+    ends = [graph.host.edge_endpoints(e) for e in sc.edges]
+    residues: Counter = Counter()  # (b, code) -> subgraph count
+    stack = [({v: v for v in graph.g_vertices}, (), (), (), tuple(range(len(ends))), 0)]
     while stack:
-        parent, contracted, loops, pending, bridges = stack.pop()
+        parent, contracted, deleted, loops, pending, bridges = stack.pop()
         for i, edge in enumerate(pending):
             a, b = ends[edge]
             u, w = find(parent, a), find(parent, b)
             if u != w:
                 break
         else:
-            residue = host.contract(contracted)
-            vids = {residue.vertex_of[d] for d in residue.sigma if host.vertex_of[d] in marked}
-            sc = SubgraphScanner(
-                EmbeddedSubgraph(residue, frozenset(vids), frozenset(loops + pending))
-            )
-            decoded = [(sc.decode(code), cnt) for code, cnt in sc.code_counts().items()]
-            c_g = min(inv.c for inv, _ in decoded)
-            for inv, cnt in decoded:
-                residues[bridges, _p_key(inv, c_g)] += cnt
+            counts = frontier_counts(*sc.pinned(contracted, deleted, loops + pending))
+            for code, cnt in counts.items():
+                residues[bridges, code] += cnt
             continue
         loops, rest = loops + pending[:i], pending[i + 1:]
         joined = parent.copy()
@@ -143,13 +142,16 @@ def p_recursive(
             joined[b] = a
         if find(joined, u) != find(joined, w):  # a bridge
             parent[w] = u
-            stack.append((parent, (*contracted, edge), loops, rest, bridges + 1))
+            stack.append((parent, (*contracted, edge), deleted, loops, rest, bridges + 1))
         else:
-            stack.append((parent.copy(), contracted, loops, rest, bridges))
+            stack.append((parent.copy(), contracted, (*deleted, edge), loops, rest, bridges))
             parent[w] = u
-            stack.append((parent, (*contracted, edge), loops, rest, bridges))
+            stack.append((parent, (*contracted, edge), deleted, loops, rest, bridges))
+    decoded = {code: sc.decode(code) for _, code in residues}
+    c_g = min(inv.c for inv in decoded.values())
     terms: Counter = Counter()
-    for (bridges, (x, *yab)), cnt in residues.items():
+    for (bridges, code), cnt in residues.items():
+        x, *yab = _p_key(decoded[code], c_g)
         for j in range(bridges + 1):
             terms[(x + j, *yab)] += math.comb(bridges, j) * cnt
     return LaurentPolynomial(_PVARS, terms)

@@ -284,6 +284,18 @@ def test_verify_refuses_weights_it_does_not_read(capsys, data_dir, tmp_path, arg
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["canon"], ["dual"], ["tait"], ["poly"], ["verify", "duality"], ["verify", "all"]],
+    ids=" ".join,
+)
+def test_negative_cap_exits_2_before_reading_a_file(capsys, tmp_path, argv):
+    # the input does not exist: the cap is refused before it is opened
+    missing = [] if argv == ["verify", "all"] else [str(tmp_path / "missing.map")]
+    code, out, err = run_cli(capsys, "--cap", "-1", *argv, *missing)
+    assert (code, out, err) == (2, "", "error: --cap must be at least 0, not -1\n")
+
+
+@pytest.mark.parametrize(
     "argv", [["pbar", "tb2.map"], ["verify", "mduality", "tb2.map"]], ids=" ".join
 )
 def test_empty_weights_value_is_refused(capsys, data_dir, argv):

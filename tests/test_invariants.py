@@ -8,9 +8,16 @@ from hypothesis import strategies as st
 
 from surfpoly.corpus import alternating_diagrams
 from surfpoly.errors import InternalInvariantError, NotSpanning
-from surfpoly.invariants import SubgraphScanner, dual_subgraph, invariants, scan, walk
+from surfpoly.invariants import (
+    SubgraphScanner,
+    dual_subgraph,
+    frontier_counts,
+    invariants,
+    scan,
+    walk,
+)
 from surfpoly.links import tait_graph
-from surfpoly.maps import CombinatorialMap, EmbeddedSubgraph, random_map, standard_alpha
+from surfpoly.maps import CombinatorialMap, EmbeddedSubgraph, find, random_map, standard_alpha
 
 
 class ReferenceScanner:
@@ -218,6 +225,48 @@ def test_code_counts_returns_a_fresh_dict(tb2, octagon):
             counts[code] += 1
         counts[-1] = 1
         assert sc.code_counts() == Counter(sc.codes()), graph
+
+
+def test_pinned_counts_match_the_forced_masks_of_the_walk():
+    # pinning edges in or out of H and counting over the rest is the walk's
+    # count over the masks with those bits forced; some pinned-in sets
+    # close a cycle, so a pinned link can fall inside one class
+    rng = random.Random(61)
+    seen = set()
+    for trial in range(120):
+        m = random_map(rng.randint(1, 8), rng)
+        if trial % 3 == 1:
+            m = m.disjoint_union(random_map(rng.randint(1, 4), rng))
+        if trial % 4 == 2:
+            m = CombinatorialMap(dict(m.sigma), dict(m.alpha), rng.randint(1, 2))
+        graph = EmbeddedSubgraph.full(m) if trial % 2 else random_marking(m, rng)
+        sc = SubgraphScanner(graph)
+        codes = sc.codes()
+        n = len(sc.edges)
+        for _ in range(4):
+            picks = [rng.choice("io.") for _ in range(n)]
+            ins = [i for i, x in enumerate(picks) if x == "i"]
+            outs = [i for i, x in enumerate(picks) if x == "o"]
+            free = [i for i, x in enumerate(picks) if x == "."]
+            fixed, forced = sum(1 << i for i in (*ins, *outs)), sum(1 << i for i in ins)
+            want = Counter(code for mask, code in enumerate(codes) if mask & fixed == forced)
+            assert frontier_counts(*sc.pinned(ins, outs, free)) == want, graph
+            joined = {v: v for v in m.vertex_ids}
+            for i in ins:
+                u, w = (find(joined, v) for v in m.edge_endpoints(sc.edges[i]))
+                if u == w:
+                    seen.add("ins close a cycle")
+                joined[w] = u
+        seen.update(
+            name
+            for name, hit in (
+                ("unmarked edge", n < m.n_edges),
+                ("isolated vertex", m.isolated_vertices > 0),
+                ("disconnected", len(m.dart_components) + m.isolated_vertices > 1),
+            )
+            if hit
+        )
+    assert len(seen) == 4, seen
 
 
 def test_decode_catches_a_parity_violation(tb2):

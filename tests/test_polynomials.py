@@ -18,7 +18,7 @@ from surfpoly.cli import main
 from surfpoly.corpus import random_maps
 from surfpoly.errors import TooManyEdges, TooManyStates
 from surfpoly.homology import SurfaceHomology
-from surfpoly.invariants import histogram
+from surfpoly.invariants import SubgraphScanner, histogram
 from surfpoly.laurent import LaurentPolynomial as L
 from surfpoly.maps import CombinatorialMap, EmbeddedSubgraph, UnionFind, random_map, serialize_map
 from surfpoly.polynomials import (
@@ -161,17 +161,17 @@ def test_p_recursive_matches_the_minor_by_minor_reference(fig2, sb):
         assert p_recursive(g) == reference_p_recursive(g), serialize_map(g.host)
 
 
-def test_p_recursive_contracts_once_per_leaf(monkeypatch):
+def test_p_recursive_pins_once_per_leaf(monkeypatch):
     # the leaves are the maximal spanning forests, which the Tutte
-    # polynomial counts at X = Y = 0; each contracts the host once
+    # polynomial counts at X = Y = 0; each pins the input's scanner once
     calls = []
-    real = CombinatorialMap.contract
+    real = SubgraphScanner.pinned
 
-    def counted(self, forest):
-        calls.append(forest)
-        return real(self, forest)
+    def counted(self, ins, outs, free):
+        calls.append(ins)
+        return real(self, ins, outs, free)
 
-    monkeypatch.setattr(CombinatorialMap, "contract", counted)
+    monkeypatch.setattr(SubgraphScanner, "pinned", counted)
     for m in random_maps(60, 9, 3):
         calls.clear()
         p_recursive(m)
@@ -179,27 +179,33 @@ def test_p_recursive_contracts_once_per_leaf(monkeypatch):
         assert len(calls) == t.terms.get((0,) * len(t.variables), 0), serialize_map(m)
 
 
-def test_p_recursive_builds_no_union_find_beyond_contract(monkeypatch):
-    # the work stack carries each minor's union-find as a parent dict, so
-    # the only UnionFind built is the one in each leaf's contract call
-    built, contracted = [], []
-    real_init, real_contract = UnionFind.__init__, CombinatorialMap.contract
+def test_p_recursive_builds_one_scanner_and_no_minor(monkeypatch):
+    # the work stack carries each minor's union-find as a parent dict, and
+    # every leaf pins the input's one scanner: no UnionFind, no contracted
+    # map and no map or marked graph beyond the input's full ribbon graph
+    built = Counter()
 
-    def counted_init(self, elements=()):
-        built.append(self)
-        real_init(self, elements)
+    def counting(cls, name):
+        real = getattr(cls, name)
 
-    def counted_contract(self, forest):
-        contracted.append(forest)
-        return real_contract(self, forest)
+        def counted(self, *args):
+            built[cls.__name__, name] += 1
+            return real(self, *args)
 
-    monkeypatch.setattr(UnionFind, "__init__", counted_init)
-    monkeypatch.setattr(CombinatorialMap, "contract", counted_contract)
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(SubgraphScanner, "__init__")
+    counting(UnionFind, "__init__")
+    counting(CombinatorialMap, "contract")
+    counting(CombinatorialMap, "__post_init__")
+    counting(EmbeddedSubgraph, "__post_init__")
     for m in random_maps(60, 9, 3):
         built.clear()
-        contracted.clear()
         p_recursive(m)
-        assert contracted and len(built) == len(contracted), serialize_map(m)
+        assert built == {
+            ("SubgraphScanner", "__init__"): 1,
+            ("EmbeddedSubgraph", "__post_init__"): 1,
+        }, serialize_map(m)
 
 
 def test_contraction_deletion_rules():
@@ -352,8 +358,6 @@ def test_bollobas_riordan_examples(tb2, sl, sb):
 
 
 def test_br_z_exponent_is_s():
-    from surfpoly.invariants import SubgraphScanner
-
     rng = random.Random(55)
     for _ in range(10):
         m = random_map(rng.randint(1, 6), rng)
