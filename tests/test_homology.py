@@ -580,6 +580,22 @@ def test_subgroup_duality_fails_on_a_miscounted_dual_nullity(tb2, octagon, monke
         assert v_hs == orthogonal_complement(v_h, _radial_links(m, m.dual())[0].form)
 
 
+@pytest.mark.parametrize(
+    "count", ["n_faces", "n_vertices"], ids=["c(H*) - c(G*) = k(H)", "c(H) - c(G) = k(H*)"]
+)
+def test_subgroup_duality_fails_on_one_side_miscounted_vertices(tb2, octagon, count):
+    """G* (the faces of m) or G with one vertex too many: n(G*), or n(G), is
+    one too small, which only the exponent swap c(H*) - c(G*) = k(H), or
+    c(H) - c(G) = k(H*), reads.  Every mask fails it, so the witness is
+    mask 0."""
+    for source in (tb2, octagon, *random_maps_of_genus(2, 2, 7, seed=310, min_edges=6)):
+        m = CombinatorialMap(dict(source.sigma), dict(source.alpha), source.isolated_vertices)
+        vars(m)[count] = getattr(m, count) + 1
+        rep = verify_subgroup_duality(m)
+        assert not rep.all_passed
+        assert rep.verdicts[0].witness == f"map={m!r} mask=0"
+
+
 def _tilde_p_inputs(tb2, octagon):
     maps = (tb2, octagon, *random_maps_of_genus(2, 2, 7, seed=309, min_edges=6))
     return [EmbeddedSubgraph.full(m) for m in maps]

@@ -581,3 +581,32 @@ def test_thistlethwaite_witness_is_the_least_failing_tait_mask(
         verdict = verify_thistlethwaite(d).verdicts[1]
         assert failing and not verdict.passed
         assert verdict.witness == f"subgraph mask {min(failing)} of {serialize_diagram(d)!r}"
+
+
+@pytest.mark.parametrize("field", ["l", "k"], ids=["r(S) = l(H)", "k(S) = c(H) + k(H)"])
+@pytest.mark.parametrize("empty", [True, False], ids=["empty H", "all edges"])
+def test_thistlethwaite_fails_on_one_miscounted_tait_invariant(data_dir, monkeypatch, field, empty):
+    """A decoded Tait l, or k, one too large on one subgraph, the empty one or
+    the full one: only the per-state check on that field can catch it, and
+    the witness is that subgraph's mask."""
+    from surfpoly.invariants import SubgraphScanner
+
+    real = SubgraphScanner.decode
+    target = {}
+
+    def miscount(self, code):
+        inv = real(self, code)
+        if inv.e == target["e"]:
+            inv = inv._replace(**{field: getattr(inv, field) + 1})
+        return inv
+
+    monkeypatch.setattr(SubgraphScanner, "decode", miscount)
+    diagrams = [parse_diagram((data_dir / name).read_text()) for name in ("trefoil.vlk", "torus-alt.vlk")]
+    diagrams += alternating_diagrams(2, 2, 7, seed=6, min_crossings=5)
+    for d in diagrams:
+        n = d.n_crossings
+        target["e"] = 0 if empty else n
+        verdict = verify_thistlethwaite(d).verdicts[1]
+        assert not verdict.passed
+        mask = 0 if empty else (1 << n) - 1
+        assert verdict.witness == f"subgraph mask {mask} of {serialize_diagram(d)!r}"
