@@ -10,7 +10,9 @@ through the radial map.
 All arithmetic is exact and elimination is fraction-free (Bareiss, Math.
 Comp. 1968): rows are scaled to integers, cross-multiplied, and divided by
 their gcd, so a subspace is held as its RREF with each row scaled to a
-primitive integer row.  `fractions.Fraction` appears only where a rational
+primitive integer row.  Elimination is one step, `_insert`, which adds one
+integer row to such canonical rows (or leaves them as they are when the row
+is in their span); `_eliminate` folds it over a matrix.  `fractions.Fraction` appears only where a rational
 result is asked for: `Subspace.basis` (the canonical RREF, which orders and
 prints subspaces), `rref`'s one final division by the pivots, and
 `project_chain` of a rational chain.  Classes of integral cycles are
@@ -30,8 +32,10 @@ unimodular, and its RREF has entries in {-1, 0, 1} (`_build` checks this).
 V(H) is spanned by the classes of the cycles that one potential union-find
 pass over H's edges closes (`_cycles`), each class packed into one int.  A
 state sum over all 2^e subgraphs runs that union-find over the masks
-(`_walk`) on the engine's one walker, `surfpoly.invariants.walk`, and keeps
-each span as an id into a table of interned subspaces (`_Spans`).  tilde-P
+(`_walk`, whose walker arguments `_potentials` builds) on the engine's one
+walker, `surfpoly.invariants.walk`, and keeps each span as an id into a
+table of interned subspaces (`_Spans`), which grows a span by inserting one
+new class into its rows.  tilde-P
 reads its exponents off its walk's nullities and spans, and checks their
 counts against the frontier DP; subgroup duality walks H and H* at once, and
 their nullities and spans give its exponents.
@@ -39,12 +43,13 @@ their nullities and spans give its exponents.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, InternalInvariantError, RadicalNotBoundaries
 from .invariants import DEFAULT_CAP, check_cap, histogram, walk
@@ -74,37 +79,52 @@ def _integral(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
     return out
 
 
-def _eliminate(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+def _insert(rows: list[Sequence[int]], pivots: list[int], x: Sequence[int]) -> bool:
+    """Insert the integer row ``x`` into the canonical rows ``rows`` with
+    pivot columns ``pivots``, in place; False, with both unchanged, when x
+    is in their span.
 
-    Returns the nonzero rows and their pivot columns.  Each row is primitive
-    with a positive pivot and is zero in the other rows' pivot columns, so
-    dividing it by its pivot gives the RREF row: the rows are a canonical
-    form of the row space.
-    """
+    Canonical rows are primitive, with a positive pivot, zero in the other
+    rows' pivot columns, and ordered by pivot, so dividing each by its
+    pivot gives the RREF: one form per row space.  x is reduced to zero in
+    every pivot column; if anything is left, its first nonzero column is a
+    new pivot, which is cleared from the other rows (Bareiss's fraction-free
+    step, each row then divided by its gcd)."""
+    for row, p in zip(rows, pivots):
+        f = x[p]
+        if f:
+            a = row[p]
+            x = [a * u - f * w for u, w in zip(x, row)]
+            g = gcd(*x)
+            if g > 1:
+                x = [u // g for u in x]
+    q = next((c for c, u in enumerate(x) if u), None)
+    if q is None:
+        return False
+    g = gcd(*x) if x[q] > 0 else -gcd(*x)
+    if g != 1:
+        x = [u // g for u in x]
+    p = x[q]
+    for i, row in enumerate(rows):
+        f = row[q]
+        if f:
+            row = [p * u - f * w for u, w in zip(row, x)]
+            g = gcd(*row)
+            rows[i] = [u // g for u in row] if g > 1 else row
+    i = bisect(pivots, q)
+    rows.insert(i, x)
+    pivots.insert(i, q)
+    return True
+
+
+def _eliminate(mat: Iterable[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """The canonical rows of the span of integer rows, and their pivot
+    columns: the rows inserted one at a time by :func:`_insert`."""
+    rows: list[list[int]] = []
     pivots: list[int] = []
-    r = 0
-    for col in range(len(mat[0]) if mat else 0):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        prow = mat[pivot]
-        g = gcd(*prow) if prow[col] > 0 else -gcd(*prow)
-        if g != 1:
-            prow = [x // g for x in prow]
-        mat[pivot], mat[r] = mat[r], prow
-        p = prow[col]
-        for i, row in enumerate(mat):
-            f = row[col]
-            if f and i != r:
-                row = [p * a - f * b for a, b in zip(row, prow)]
-                g = gcd(*row)
-                mat[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    for x in mat:
+        _insert(rows, pivots, x)
+    return rows, pivots
 
 
 def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -148,6 +168,11 @@ class Subspace:
                 raise DimensionMismatch(f"vector length {len(v)} != ambient {ambient}")
         red, _ = _eliminate(rows)
         return cls(ambient, tuple(map(tuple, red)))
+
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each row, its first nonzero one."""
+        return tuple(next(c for c, x in enumerate(row) if x) for row in self.rows)
 
     @cached_property
     def basis(self) -> tuple[Vector, ...]:
@@ -414,7 +439,9 @@ def _cycles(edges: Iterable[Link]) -> Iterator[int]:
 
 class _Spans:
     """Interned subspaces of one H1, each known by its index in ``spaces``.
-    ``extend`` memoises the span of a subspace and one more packed class."""
+    ``extend`` memoises the span of a subspace and one more packed class,
+    found by inserting the class into the subspace's rows; a class already
+    in the subspace gives the subspace's own index."""
 
     def __init__(self, dim: int):
         self.dim = dim
@@ -433,26 +460,32 @@ class _Spans:
     def extend(self, i: int, x: int) -> int:
         j = self._ext[i].get(x)
         if j is None:
-            rows = [*self.spaces[i].rows, _unpack(x, self.dim)]
-            j = self._ext[i][x] = self.add(Subspace.from_vectors(rows, self.dim))
+            v = self.spaces[i]
+            rows, pivots = list(v.rows), list(v.pivots)
+            if _insert(rows, pivots, _unpack(x, self.dim)):
+                j = self.add(Subspace(self.dim, tuple(map(tuple, rows))))
+            else:
+                j = i
+            self._ext[i][x] = j
         return j
 
 
-def _walk(
+def _potentials(
     base: Iterable[SideLink], steps: Sequence[tuple[Sequence[SideLink], Sequence[SideLink]]],
     spans: _Spans, sides: int = 1,
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The spans that every mask over ``steps`` closes, masks in increasing
-    order, from one :func:`~surfpoly.invariants.walk`.
+) -> tuple[list[int], tuple[int, ...], list[tuple[list[SideLink], list[SideLink]]], Callable]:
+    """The arguments (uf, state, steps, apply) of the
+    :func:`~surfpoly.invariants.walk` that `_walk` runs.
 
     A link (side, tail, head, packed class) joins two nodes of one potential
     union-find, as in `_cycles`; a link that closes a cycle extends its
     side's span by the cycle's class and adds one to the side's nullity.
-    The ``base`` links are applied once; then step i applies its out links
-    (bit i clear) or its in links (bit i set).  The n nodes are renumbered
-    densely, so the union-find is one list: node x's parent at ``uf[x]``
-    and the class of the path from that parent to x at ``uf[n + x]``.
-    Yields (mask, state), where state[2s] is side s's span id in ``spans``
+    The ``base`` links are applied once, to the returned uf and state; then
+    step i applies its out links (bit i clear) or its in links (bit i set).
+    The n nodes are renumbered densely, so the union-find is the first 2n
+    entries of a list: node x's parent at ``uf[x]`` and the class of the
+    path from that parent to x at ``uf[n + x]``; a caller may append its
+    own union-find after them.  state[2s] is side s's span id in ``spans``
     and state[2s + 1] its nullity.
     """
     index: dict[int, int] = {}
@@ -485,7 +518,17 @@ def _walk(
         return state
 
     uf = [*range(n), *[0] * n]
-    return enumerate(walk(uf, apply(uf, (0, 0) * sides, base), steps, apply))
+    return uf, apply(uf, (0, 0) * sides, base), steps, apply
+
+
+def _walk(
+    base: Iterable[SideLink], steps: Sequence[tuple[Sequence[SideLink], Sequence[SideLink]]],
+    spans: _Spans, sides: int = 1,
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(mask, state) for every mask over ``steps``, masks in increasing
+    order, from one :func:`~surfpoly.invariants.walk` of `_potentials`:
+    the spans and nullities that each mask's links close."""
+    return enumerate(walk(*_potentials(base, steps, spans, sides)))
 
 
 def fundamental_cycles(

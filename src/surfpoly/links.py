@@ -32,8 +32,8 @@ from .errors import (
     TooManyCrossings,
 )
 from .homology import Chain, Subspace, SurfaceHomology, radial_map
-from .homology import _cycle_span, _links, _Spans, _walk
-from .invariants import DEFAULT_CAP, scan
+from .homology import _cycle_span, _links, _potentials, _Spans, _walk
+from .invariants import DEFAULT_CAP, SubgraphInvariants, SubgraphScanner, _link, walk
 from .laurent import LaurentPolynomial
 from .maps import (
     CombinatorialMap,
@@ -247,19 +247,19 @@ def _smoothings(diagram: LinkDiagram) -> list[tuple[tuple[tuple[int, int], ...],
     return out
 
 
-def states(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[ResolutionState]:
-    """All 2^n resolutions with curve counts and homology ranks, lazily, in
-    increasing order of the mask whose bit i is the choice at crossing i.
-
-    The cap is checked at the call.  The states come from one `_walk` over
-    a union-find of darts: an edge links its two darts with the class of
-    the edge, a smoothing links the darts it joins with class 0, so each
-    curve is a cycle, closed by exactly one link whose potential sum is
-    the curve's class.  Each free loop is a link that closes at once.
-    """
+def _check_crossings(diagram: LinkDiagram, cap: int | None) -> None:
+    """Refuse a 2^n state sum above ``cap`` crossings (None means no cap)."""
     n = diagram.n_crossings
     if cap is not None and n > cap:
         raise TooManyCrossings(f"{n} crossings exceeds cap {cap}")
+
+
+def _curve_links(diagram: LinkDiagram) -> tuple[SurfaceHomology, list, list]:
+    """H1 of the surface, and the base links and per-crossing steps of the
+    states' union-find of darts: an edge links its two darts with the class
+    of the edge, a smoothing links the darts it joins with class 0, so each
+    curve is a cycle, closed by exactly one link whose potential sum is the
+    curve's class.  Each free loop is a link that closes at once."""
     base = diagram.base
     surf = diagram.surface_map
     hom = SurfaceHomology(surf)
@@ -272,6 +272,19 @@ def states(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[ResolutionS
         tuple([(0, x, y, 0) for x, y in pairs] for pairs in smoothing)
         for smoothing in _smoothings(diagram)
     ]
+    return hom, links, steps
+
+
+def states(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[ResolutionState]:
+    """All 2^n resolutions with curve counts and homology ranks, lazily, in
+    increasing order of the mask whose bit i is the choice at crossing i.
+
+    The cap is checked at the call.  The states come from one `_walk` of
+    the union-find of darts of `_curve_links`; each curve closes one cycle,
+    so a state's nullity is its curve count.
+    """
+    _check_crossings(diagram, cap)
+    hom, links, steps = _curve_links(diagram)
     spans = _Spans(hom.dim)
     return (
         ResolutionState(mask, c, spans.spaces[v], diagram)
@@ -430,50 +443,79 @@ def tait_cycle_classes(
 def verify_thistlethwaite(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> PolynomialReport:
     """K_D(A,B,d,Z) = A^(g+v-c) B^(n-g) d^c Z^g P_G(Bd/A, Ad/B, A/(BZ), B/(AZ))
     for the Tait graph G, plus the per-state proof correspondences
-    alpha(S(H)) = e(H), c(S) = bc(H), k(S) = c(H)+k(H), r(S) = l(H)."""
+    alpha(S(H)) = e(H), c(S) = bc(H), k(S) = c(H)+k(H), r(S) = l(H).
+
+    One :func:`~surfpoly.invariants.walk` over the crossings gives both
+    sides: branch i applies the Tait scanner's out or in step for crossing
+    i's Tait edge and the crossing's type-(2) or type-(1) smoothing links on
+    the curves' potential union-find (`_potentials`), so a state S and its
+    Tait subgraph H(S) reach the same leaf, with acc = (Tait code, (span
+    id, curve count)).  P_G and K_D are read off the leaves' counts, each
+    distinct code decoded once; the witness is the least failing Tait
+    subgraph mask, built from a state's mask only when the state fails."""
     tait = tait_graph(diagram)
+    _check_crossings(diagram, cap)
     g_map = tait.map
     g = diagram.genus
     v = g_map.n_vertices
     c = g_map.n_components
     e = g_map.n_edges
     n = e - v + c
-    sts = states(diagram, cap=cap)
-    # The states stream by; each is checked against its Tait subgraph, the
-    # edges of its type-(1) crossings, and the witness is the least failing
-    # subgraph mask.  P_G is read off the same sweep of the Tait graph.
-    tait_invs = [inv for _, inv in scan(tait.graph, cap)]
-    p = _p_of(Counter(tait_invs))
-    eidx = {e_: i for i, e_ in enumerate(tait.graph.sorted_edges)}
-    bits = [1 << eidx[tait.crossing_edge[x]] for x in diagram.crossings]
+    sc = SubgraphScanner(tait.graph)
+    hom, links, smoothings = _curve_links(diagram)
+    spans = _Spans(hom.dim)
+    uf, state, curve_steps, curve_apply = _potentials(links, smoothings, spans)
+    # the Tait union-find goes after the curves' one, its nodes shifted
+    shift = len(uf)
+    uf += [x + shift for x in sc.base]
+    edge = [sc.eidx[tait.crossing_edge[x]] for x in diagram.crossings]
+    steps = [
+        tuple(
+            ((plus, [(a + shift, b + shift, w) for a, b, w in tait_links]), curve_links)
+            for (plus, tait_links), curve_links in zip(sc.steps[i], curves)
+        )
+        for i, curves in zip(edge, curve_steps)
+    ]
 
-    def table(half):
-        """The OR of each subset of the Tait edge bits ``half``, by subset mask."""
-        rows = [0]
-        for bit in half:
-            rows += [m | bit for m in rows]
-        return rows
+    def apply(uf: list[int], acc: tuple, branch: tuple) -> tuple:
+        tait_step, curve_links = branch
+        return _link(uf, acc[0], tait_step), curve_apply(uf, acc[1], curve_links)
 
-    # two tables of 2^(n/2) masks, not one of 2^n, to keep the memory small
-    h = len(bits) // 2
-    lo, hi, low = table(bits[:h]), table(bits[h:]), (1 << h) - 1
-    terms: dict[tuple[int, int, int, int], int] = {}
+    # a leaf's count per (a(S), acc); a new key is checked when first reached
+    counts: dict[tuple, int] = {}
+    decoded: dict[int, SubgraphInvariants] = {}
+    bad: set[tuple] = set()
     failed: int | None = None
-    for st in sts:
-        mask = lo[st.mask & low] | hi[st.mask >> h]
-        a_count, b_count, c_s, r = st.alpha_count, st.beta_count, st.c, st.r
-        key = (a_count, b_count, c_s - r, r)
-        terms[key] = terms.get(key, 0) + 1
-        inv = tait_invs[mask]
-        if not (
-            a_count == inv.e
-            and b_count == e - inv.e
-            and c_s == inv.bc
-            and c_s - r == inv.c + inv.k
-            and r == inv.l
-        ) and (failed is None or mask < failed):
-            failed = mask
+    for mask, acc in enumerate(walk(uf, (sc.base_code, state), steps, apply)):
+        key = mask.bit_count(), acc
+        if key in counts:
+            counts[key] += 1
+        else:
+            counts[key] = 1
+            a_count, (code, (span, c_s)) = key
+            if code not in decoded:
+                decoded[code] = sc.decode(code)
+            inv = decoded[code]
+            r = spans.spaces[span].dim
+            if not (
+                a_count == inv.e
+                and diagram.n_crossings - a_count == e - inv.e
+                and c_s == inv.bc
+                and c_s - r == inv.c + inv.k
+                and r == inv.l
+            ):
+                bad.add(key)
+        if bad and key in bad:
+            tait_mask = sum(1 << i for j, i in enumerate(edge) if mask >> j & 1)
+            failed = tait_mask if failed is None else min(failed, tait_mask)
+    terms: Counter = Counter()
+    tait_counts: Counter = Counter()
+    for (a_count, (code, (span, c_s))), cnt in counts.items():
+        r = spans.spaces[span].dim
+        terms[a_count, diagram.n_crossings - a_count, c_s - r, r] += cnt
+        tait_counts[decoded[code]] += cnt
     k_poly = LaurentPolynomial(_KVARS, terms)
+    p = _p_of(tait_counts)
     mono = LaurentPolynomial.monomial
     bound = p.substitute(
         {

@@ -99,8 +99,10 @@ def p_recursive(
 ) -> LaurentPolynomial:
     """Contraction-deletion on the lowest non-loop edge e: (1+X) P(G/e) when
     deleting e raises the component count (a bridge), P(G-e) + P(G/e)
-    otherwise, and the histogram of a loops-only minor; agrees with
-    p_bruteforce wherever both run.  A work stack holds each minor's
+    otherwise, and at a minor whose marked edges are all loops, the frontier
+    DP's counts of the input's subgraphs with that minor's forest pinned in
+    and its deletions pinned out; agrees with p_bruteforce wherever both
+    run.  A work stack holds each minor's
     union-find of the marked vertices (a parent dict, joined along its
     contracted edges), its contracted, deleted and loop edges, its pending
     edges and its count b of contracted bridges, edges as indices into the

@@ -12,6 +12,9 @@ from surfpoly.homology import (
     Subspace,
     SurfaceHomology,
     _cycle_span,
+    _insert,
+    _integral,
+    _pack,
     _radial_links,
     _Spans,
     _subgroup_walk,
@@ -452,6 +455,25 @@ def test_integer_elimination_matches_fraction_reference():
         red, pivots = reference_rref(rows)
         deficient += len(red) < len(rows)
         assert rref(rows) == (red, pivots)
+        # the same rows inserted one at a time, into canonical rows and into
+        # a span table: after every step the rows are the prefix's RREF, and
+        # a row already in the span changes nothing
+        spans = _Spans(ncols)
+        done, done_pivots, span = [], [], 0
+        for k, x in enumerate(_integral(rows)):
+            before, interned = [*done], len(spans.spaces)
+            grew = _insert(done, done_pivots, x)
+            ref, ref_pivots = reference_rref(rows[: k + 1])
+            assert grew == (len(ref) > len(before))
+            assert done_pivots == ref_pivots
+            assert [[Fraction(a, row[p]) for a in row] for row, p in zip(done, done_pivots)] == ref
+            grown = spans.extend(span, _pack(x))
+            if grew:
+                assert spans.spaces[grown] == Subspace.from_vectors(rows[: k + 1], ncols)
+            else:
+                assert done == before
+                assert grown == span and len(spans.spaces) == interned
+            span = grown
         v = Subspace.from_vectors(rows, ncols)
         assert v.basis == tuple(map(tuple, red))
         assert v == Subspace.from_vectors(red, ncols)

@@ -1,3 +1,4 @@
+import importlib
 import random
 from collections import Counter
 
@@ -506,23 +507,38 @@ def test_thistlethwaite_random_surfaces():
 
 
 def test_thistlethwaite_sweeps_states_once(data_dir, monkeypatch):
+    """One walk over the 2^n crossing masks carries the states and their Tait
+    subgraphs together: neither `states()` nor `scan()` runs."""
+    engine = importlib.import_module("surfpoly.invariants")
+    import surfpoly.homology as homology_module
     import surfpoly.links as links_module
 
-    calls = []
-    real = links_module.states
+    walks = []
+    real = engine.walk
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(*args):
+        walks.append(0)
+        for acc in real(*args):
+            walks[-1] += 1
+            yield acc
 
-    monkeypatch.setattr(links_module, "states", counted)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Thistlethwaite check swept the states or the Tait subgraphs again")
+
+    for module in (engine, homology_module, links_module):
+        monkeypatch.setattr(module, "walk", counted)
+    for module, name in [
+        (links_module, "states"), (links_module, "_walk"), (links_module, "ResolutionState"),
+        (engine, "scan"), (engine.SubgraphScanner, "codes"), (engine.SubgraphScanner, "code_counts"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
     genus2 = next(
         m for m in (random_map(n, random.Random(n)) for n in range(4, 40)) if m.total_genus == 2
     )
     for d in (parse_diagram((data_dir / "trefoil.vlk").read_text()), medial_diagram(genus2)):
-        calls.clear()
+        walks.clear()
         assert verify_thistlethwaite(d).all_passed
-        assert len(calls) == 1
+        assert walks == [1 << d.n_crossings]
 
 
 def test_thistlethwaite_reads_p_off_the_tait_sweep(data_dir, monkeypatch):
