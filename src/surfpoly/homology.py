@@ -12,11 +12,11 @@ Comp. 1968): rows are scaled to integers, cross-multiplied, and divided by
 their gcd, so a subspace is held as its RREF with each row scaled to a
 primitive integer row.  Elimination is one step, `_insert`, which adds one
 integer row to such canonical rows (or leaves them as they are when the row
-is in their span); `_eliminate` folds it over a matrix.  `fractions.Fraction` appears only where a rational
-result is asked for: `Subspace.basis` (the canonical RREF, which orders and
-prints subspaces), `rref`'s one final division by the pivots, and
-`project_chain` of a rational chain.  Classes of integral cycles are
-integers.
+is in their span); `_eliminate` folds it over a matrix.
+`fractions.Fraction` appears only where a rational result is asked for:
+`Subspace.basis` (the canonical RREF, which orders and prints subspaces),
+`rref`'s one final division by the pivots, and `project_chain` of a
+rational chain.  Classes of integral cycles are integers.
 
 Coordinates: a spanning forest of the host is contracted, leaving one vertex
 per component so that every 1-chain is a cycle; H1 coordinates are the free
@@ -117,10 +117,10 @@ def _insert(rows: list[Sequence[int]], pivots: list[int], x: Sequence[int]) -> b
     return True
 
 
-def _eliminate(mat: Iterable[list[int]]) -> tuple[list[list[int]], list[int]]:
+def _eliminate(mat: Iterable[Sequence[int]]) -> tuple[list[Sequence[int]], list[int]]:
     """The canonical rows of the span of integer rows, and their pivot
     columns: the rows inserted one at a time by :func:`_insert`."""
-    rows: list[list[int]] = []
+    rows: list[Sequence[int]] = []
     pivots: list[int] = []
     for x in mat:
         _insert(rows, pivots, x)
@@ -305,7 +305,7 @@ class SurfaceHomology:
             tuple(omega[i][j] for j in free) for i in free
         )
         self.form = SymplecticSpace(self.dim, gram)
-        rank = len(_eliminate([list(row) for row in gram])[0])
+        rank = len(_eliminate(gram)[0])
         if rank != self.dim:
             raise InternalInvariantError("intersection form is degenerate")
 

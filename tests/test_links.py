@@ -523,13 +523,17 @@ def test_thistlethwaite_sweeps_states_once(data_dir, monkeypatch):
             yield acc
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the Thistlethwaite check swept the states or the Tait subgraphs again")
+        raise AssertionError("the Thistlethwaite check swept states or Tait subgraphs again")
 
     for module in (engine, homology_module, links_module):
         monkeypatch.setattr(module, "walk", counted)
     for module, name in [
-        (links_module, "states"), (links_module, "_walk"), (links_module, "ResolutionState"),
-        (engine, "scan"), (engine.SubgraphScanner, "codes"), (engine.SubgraphScanner, "code_counts"),
+        (links_module, "states"),
+        (links_module, "_walk"),
+        (links_module, "ResolutionState"),
+        (engine, "scan"),
+        (engine.SubgraphScanner, "codes"),
+        (engine.SubgraphScanner, "code_counts"),
     ]:
         monkeypatch.setattr(module, name, refuse)
     genus2 = next(
@@ -617,7 +621,9 @@ def test_thistlethwaite_fails_on_one_miscounted_tait_invariant(data_dir, monkeyp
         return inv
 
     monkeypatch.setattr(SubgraphScanner, "decode", miscount)
-    diagrams = [parse_diagram((data_dir / name).read_text()) for name in ("trefoil.vlk", "torus-alt.vlk")]
+    diagrams = [
+        parse_diagram((data_dir / name).read_text()) for name in ("trefoil.vlk", "torus-alt.vlk")
+    ]
     diagrams += alternating_diagrams(2, 2, 7, seed=6, min_crossings=5)
     for d in diagrams:
         n = d.n_crossings
