@@ -37,6 +37,7 @@ from surfpoly.links import (
 from surfpoly.corpus import alternating_diagrams
 from surfpoly.maps import CombinatorialMap, canonical_code, parse_map_file, random_map
 from surfpoly.polynomials import p_bruteforce
+from test_polynomials import off_by_one
 
 UNKNOT = "freeloop:\n"
 ESSENTIAL = "surface_sigma: (1 3 2 4)\nsurface_alpha: (1 2)(3 4)\nfreeloop: 1\n"
@@ -454,6 +455,34 @@ def test_tilde_kauffman_specializes(data_dir, tb2):
     assert len(parts) == 1 and parts[0][0].dim == 1 and parts[0][1] == 1
 
 
+def state_by_state_brackets(d):
+    """kauffman and tilde_kauffman as sums of one monomial
+    A^a B^b d^k Z^r per state of `states()`, and the latter grouped by the
+    state's subspace, in order of (dim, basis)."""
+    total, grouped = L.zero(), {}
+    for st in states(d):
+        mono = {"A": st.alpha_count, "B": st.beta_count, "d": st.k}
+        total += L.monomial(1, {**mono, "Z": st.r})
+        grouped[st.subspace] = grouped.get(st.subspace, L.zero()) + L.monomial(1, mono)
+    return total, sorted(grouped.items(), key=lambda vp: (vp[0].dim, vp[0].basis))
+
+
+def test_brackets_equal_the_state_by_state_sums(data_dir):
+    diagrams = [parse_diagram(p.read_text()) for p in sorted(data_dir.glob("*.vlk"))]
+    assert len(diagrams) == 3
+    diagrams += [parse_diagram(UNKNOT), parse_diagram(ESSENTIAL), parse_diagram(ESSENTIAL + "freeloop:\n")]
+    diagrams += alternating_diagrams(3, 1, 8, seed=11, min_crossings=5)
+    diagrams += alternating_diagrams(3, 2, 8, seed=12, min_crossings=5)
+    assert {d.genus for d in diagrams} == {0, 1, 2}
+    for d in diagrams:
+        total, parts = state_by_state_brackets(d)
+        assert kauffman(d) == total
+        assert kauffman(d).to_canonical_string() == total.to_canonical_string()
+        got = tilde_kauffman(d)
+        assert [v for v, _ in got] == [v for v, _ in parts]
+        assert [p.to_canonical_string() for _, p in got] == [p.to_canonical_string() for _, p in parts]
+
+
 def test_tilde_kauffman_remark1_tait_correspondence():
     # state subspace = V(H) ∩ V(H)^perp for the matching Tait subgraph
     rng = random.Random(89)
@@ -632,3 +661,24 @@ def test_thistlethwaite_fails_on_one_miscounted_tait_invariant(data_dir, monkeyp
         assert not verdict.passed
         mask = 0 if empty else (1 << n) - 1
         assert verdict.witness == f"subgraph mask {mask} of {serialize_diagram(d)!r}"
+
+
+def test_thistlethwaite_fails_on_one_miscounted_p_coefficient(data_dir, monkeypatch):
+    """P_G with one coefficient one too large: only the bracket check reads
+    it, so that verdict fails with the diagram as witness, K_D is still the
+    bracket, and the per-state check passes."""
+    import surfpoly.links as links_module
+
+    real = links_module._p_of
+    monkeypatch.setattr(links_module, "_p_of", lambda hist: off_by_one(real(hist)))
+    diagrams = [
+        parse_diagram((data_dir / name).read_text()) for name in ("trefoil.vlk", "torus-alt.vlk")
+    ]
+    diagrams += alternating_diagrams(2, 2, 7, seed=6, min_crossings=5)
+    for d in diagrams:
+        rep = verify_thistlethwaite(d)
+        bracket, per_state = rep.verdicts
+        assert bracket.identity.startswith("bracket K_D")
+        assert not bracket.passed and bracket.witness == f"diagram: {serialize_diagram(d)!r}"
+        assert per_state.passed
+        assert rep.polynomials == {"K_D": kauffman(d).to_canonical_string()}

@@ -156,3 +156,24 @@ def test_multivariate_duality_fails_on_misplaced_weights(monkeypatch):
     assert duality.identity.startswith("multivariate duality")
     assert not duality.passed and duality.witness == _witness(m)
     assert duality.line() == f"FAIL {duality.identity}  witness: {_witness(m)}"
+
+
+def test_planar_relation_fails_on_a_miscounted_substitution(monkeypatch, theta, sb, sl):
+    """On genus-0 maps, 1 added to the A = B = 1 substitution, which only the
+    planar relation makes, fails that verdict alone, with the map as
+    witness: the prefactor q^(c*-v) (prod v) is not 1, so the two added 1s
+    do not cancel."""
+    real = L.substitute
+
+    def miscount(self, bindings):
+        out = real(self, bindings)
+        return out + 1 if bindings == {"A": 1, "B": 1} else out
+
+    maps = [theta, sb, sl, random_map(4, random.Random(2))]
+    assert all(m.total_genus == 0 for m in maps)
+    monkeypatch.setattr(L, "substitute", miscount)
+    for m in maps:
+        duality, planar = verify_multivariate_duality(m).verdicts
+        assert duality.passed
+        assert planar.identity.startswith("planar relation")
+        assert not planar.passed and planar.witness == _witness(m)

@@ -485,6 +485,64 @@ def test_duality_and_specializations_share_one_p_string(tb2, theta, octagon):
         assert p_bruteforce(m).to_canonical_string() is p_string
 
 
+def off_by_one(p: L) -> L:
+    """p with the coefficient of its least exponent vector one larger."""
+    key = min(p.terms)
+    return L(p.variables, {**p.terms, key: p.terms[key] + 1})
+
+
+def failed_identities(rep) -> list[str]:
+    return [v.identity for v in rep.verdicts if not v.passed]
+
+
+def test_duality_fails_on_one_miscounted_dual_coefficient(monkeypatch, tb2, theta, octagon):
+    """One coefficient of P_G* one too large: the duality verdict fails with
+    the map as witness, and P_G is reported as before."""
+    poly_mod = importlib.import_module("surfpoly.polynomials")
+    maps = [fresh(tb2), fresh(theta), fresh(octagon)]
+    duals = [m.dual() for m in maps]
+    real = poly_mod.p_bruteforce
+
+    def miscount(graph, **kwargs):
+        p = real(graph, **kwargs)
+        return off_by_one(p) if any(graph is dual for dual in duals) else p
+
+    monkeypatch.setattr(poly_mod, "p_bruteforce", miscount)
+    for m, dual in zip(maps, duals):
+        rep = verify_duality(m)
+        assert failed_identities(rep) == ["duality P_G(X,Y,A,B) = P_G*(Y,X,B,A)"]
+        assert rep.verdicts[0].witness == poly_mod._witness(m)
+        assert rep.polynomials == {
+            "P_G": real(m).to_canonical_string(),
+            "P_G*": off_by_one(real(dual)).to_canonical_string(),
+        }
+
+
+def test_specializations_fail_on_a_miscounted_tutte(monkeypatch, tb2, theta, octagon):
+    """T_G + 1 fails the Tutte verdict alone, with the map as witness."""
+    poly_mod = importlib.import_module("surfpoly.polynomials")
+    real = poly_mod.tutte
+    monkeypatch.setattr(poly_mod, "tutte", lambda *args, **kwargs: real(*args, **kwargs) + 1)
+    for m in (fresh(tb2), fresh(theta), fresh(octagon), fresh(tb2).disjoint_union(theta)):
+        rep = verify_specializations(m)
+        assert failed_identities(rep) == ["tutte T_G = Y^g P(X,Y,Y,Y^-1)"]
+        tutte_verdict = rep.verdicts[0]
+        assert tutte_verdict.witness == poly_mod._witness(m)
+
+
+def test_specializations_fail_on_an_extra_component(monkeypatch, tb2, theta, sb, sl):
+    """One single-edge map too many among the components: their product
+    gains a factor 1 + X that P lacks, so the multiplicativity verdict alone
+    fails, with the map as witness."""
+    poly_mod = importlib.import_module("surfpoly.polynomials")
+    real = poly_mod.component_maps
+    monkeypatch.setattr(poly_mod, "component_maps", lambda m: real(m) + [fresh(sb)])
+    for m in (fresh(tb2), fresh(theta), fresh(tb2).disjoint_union(sl)):
+        rep = verify_specializations(m)
+        assert failed_identities(rep) == ["ribbon multiplicativity over disjoint components"]
+        assert rep.verdicts[-1].witness == poly_mod._witness(m)
+
+
 def test_threads_option_is_refused(capsys, data_dir):
     # --threads had no effect and is gone; argparse refuses it with exit 2
     with pytest.raises(SystemExit) as exc:
