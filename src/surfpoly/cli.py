@@ -21,6 +21,7 @@ from .invariants import DEFAULT_CAP, scan
 from .laurent import LaurentPolynomial
 from .links import (
     LinkDiagram,
+    _bracket_and_writhe,
     _jones_of,
     kauffman,
     parse_diagram,
@@ -163,7 +164,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_jones(args) -> int:
     d = _load_diagram(args.file)
-    bracket, w = kauffman(d, cap=args.cap), d.writhe()
+    bracket, w = _bracket_and_writhe(d, args.cap)
     try:
         # the unnormalized image never raises: d occurs with exponents k >= 0
         poly = _jones_of(bracket, w, normalized=not args.raw)

@@ -13,6 +13,10 @@ smoothing that joins the two shaded corners of a checkerboard-colored
 alternating diagram, which is exactly what the Tait-graph correspondence
 requires (the acceptance suite pins the convention by forcing the
 Thistlethwaite-type identity to hold).
+
+The brackets read one count, of the states per (a(S), span of the curve
+classes, c(S)), off the walk that `states()` streams; `_kauffman_of` maps
+a key to its monomial A^a B^(n-a) d^(c-r) Z^r.
 """
 
 from __future__ import annotations
@@ -47,8 +51,6 @@ from .maps import (
 )
 from .polynomials import _p_of
 from .report import PolynomialReport, Verdict
-
-_KVARS = ("A", "B", "d", "Z")
 
 
 @dataclass(frozen=True)
@@ -142,9 +144,7 @@ class LinkDiagram:
 
     @cached_property
     def dart_is_over(self) -> dict[int, bool]:
-        return {
-            d: d in self.over[self.base.vertex_of[d]] for d in self.base.darts
-        }
+        return {d: d in self.over[self.base.vertex_of[d]] for d in self.base.darts}
 
     def writhe(self) -> int:
         """Signed crossing count; positive when the over-strand exits along
@@ -254,12 +254,13 @@ def _check_crossings(diagram: LinkDiagram, cap: int | None) -> None:
         raise TooManyCrossings(f"{n} crossings exceeds cap {cap}")
 
 
-def _curve_links(diagram: LinkDiagram) -> tuple[SurfaceHomology, list, list]:
-    """H1 of the surface, and the base links and per-crossing steps of the
-    states' union-find of darts: an edge links its two darts with the class
-    of the edge, a smoothing links the darts it joins with class 0, so each
-    curve is a cycle, closed by exactly one link whose potential sum is the
-    curve's class.  Each free loop is a link that closes at once."""
+def _curve_links(diagram: LinkDiagram, cap: int | None) -> tuple[_Spans, list, list]:
+    """Checks the cap; then the span table of H1 of the surface, and the base
+    links and per-crossing steps of the states' union-find of darts: an edge
+    links its two darts with the class of the edge, a smoothing links the
+    darts it joins with class 0, so each curve is a cycle, closed by exactly
+    one link whose potential sum is its class; a free loop closes at once."""
+    _check_crossings(diagram, cap)
     base = diagram.base
     surf = diagram.surface_map
     hom = SurfaceHomology(surf)
@@ -272,61 +273,71 @@ def _curve_links(diagram: LinkDiagram) -> tuple[SurfaceHomology, list, list]:
         tuple([(0, x, y, 0) for x, y in pairs] for pairs in smoothing)
         for smoothing in _smoothings(diagram)
     ]
-    return hom, links, steps
+    return _Spans(hom.dim), links, steps
+
+
+def _state_walk(diagram: LinkDiagram, cap: int | None) -> tuple[_Spans, Iterator]:
+    """The span table, and (mask, (span id, c(S))) of every state, lazily,
+    from one `_walk` of `_curve_links`: each curve closes one cycle."""
+    spans, links, steps = _curve_links(diagram, cap)
+    return spans, _walk(links, steps, spans)
 
 
 def states(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[ResolutionState]:
     """All 2^n resolutions with curve counts and homology ranks, lazily, in
     increasing order of the mask whose bit i is the choice at crossing i.
+    The cap is checked at the call."""
+    spans, walked = _state_walk(diagram, cap)
+    return (ResolutionState(mask, c, spans.spaces[v], diagram) for mask, (v, c) in walked)
 
-    The cap is checked at the call.  The states come from one `_walk` of
-    the union-find of darts of `_curve_links`; each curve closes one cycle,
-    so a state's nullity is its curve count.
-    """
-    _check_crossings(diagram, cap)
-    hom, links, steps = _curve_links(diagram)
-    spans = _Spans(hom.dim)
-    return (
-        ResolutionState(mask, c, spans.spaces[v], diagram)
-        for mask, (v, c) in _walk(links, steps, spans)
-    )
+
+def _state_counts(diagram: LinkDiagram, cap: int | None) -> tuple[_Spans, Counter]:
+    """The span table, and how many states reach each (a(S), (span id,
+    c(S))), a(S) being the number of type-(1) smoothings."""
+    spans, walked = _state_walk(diagram, cap)
+    return spans, Counter((mask.bit_count(), acc) for mask, acc in walked)
+
+
+def _kauffman_of(n: int, spans: _Spans, counts: dict) -> LaurentPolynomial:
+    """The state sum of a count of (a(S), (span id, c(S))) over n crossings:
+    a key is A^a B^(n-a) d^(c-r) Z^r, r being the dimension of the span."""
+    terms: Counter = Counter()
+    for (a, (span, c)), count in counts.items():
+        r = spans.spaces[span].dim
+        terms[a, n - a, c - r, r] += count
+    return LaurentPolynomial(("A", "B", "d", "Z"), terms)
 
 
 def kauffman(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> LaurentPolynomial:
-    """Four-variable bracket: sum over states of A^a B^b d^k Z^r.
+    """Four-variable bracket: sum over states of A^a B^b d^k Z^r, read off
+    the count of states per (a(S), span, c(S)).
 
     Setting Z = d and dividing by d gives the classical bracket of the
     underlying virtual link.
     """
-    terms: dict[tuple[int, int, int, int], int] = {}
-    for st in states(diagram, cap=cap):
-        key = (st.alpha_count, st.beta_count, st.k, st.r)
-        terms[key] = terms.get(key, 0) + 1
-    return LaurentPolynomial(_KVARS, terms)
+    return _kauffman_of(diagram.n_crossings, *_state_counts(diagram, cap))
 
 
 def classical_bracket(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> LaurentPolynomial:
     """d^-1 K(A, B, d, d): the classical (virtual) Kauffman bracket."""
-    k = kauffman(diagram, cap=cap)
     dvar = LaurentPolynomial.variable("d")
-    return (k.substitute({"Z": dvar})) * dvar ** -1
+    return kauffman(diagram, cap=cap).substitute({"Z": dvar}) * dvar ** -1
 
 
 def tilde_kauffman(
     diagram: LinkDiagram, cap: int = DEFAULT_CAP
 ) -> list[tuple[Subspace, LaurentPolynomial]]:
-    """Bracket with subgroup coefficients: groups states by the subspace
-    i_*(H1(S)) of H1 of the surface; specializing [V] -> Z^dim V recovers
-    the four-variable bracket.
+    """Bracket with subgroup coefficients: the count of states per (a(S),
+    span, c(S)) grouped by the span i_*(H1(S)) in H1 of the surface, in
+    order of (dim, basis); specializing [V] -> Z^dim V recovers kauffman.
     """
-    grouped: dict[Subspace, dict[tuple[int, int, int], int]] = {}
-    for st in states(diagram, cap=cap):
-        key = (st.alpha_count, st.beta_count, st.k)
-        bucket = grouped.setdefault(st.subspace, {})
-        bucket[key] = bucket.get(key, 0) + 1
+    spans, counts = _state_counts(diagram, cap)
+    grouped: dict[Subspace, dict] = {}
+    for key, count in counts.items():
+        grouped.setdefault(spans.spaces[key[1][0]], {})[key] = count
     return [
-        (v, LaurentPolynomial(("A", "B", "d"), grouped[v]))
-        for v in sorted(grouped, key=lambda s: (s.dim, s.basis))
+        (v, _kauffman_of(diagram.n_crossings, spans, grouped[v]).substitute({"Z": 1}))
+        for v in sorted(grouped, key=lambda v: (v.dim, v.basis))
     ]
 
 
@@ -343,7 +354,14 @@ def jones(
     exotic diagrams with a k = 0 state (use normalized=False there, which is
     the verbatim state-sum polynomial).
     """
-    return _jones_of(kauffman(diagram, cap=cap), diagram.writhe(), normalized)
+    return _jones_of(*_bracket_and_writhe(diagram, cap), normalized)
+
+
+def _bracket_and_writhe(diagram: LinkDiagram, cap: int | None) -> tuple[LaurentPolynomial, int]:
+    """The bracket and the writhe; the cap and the orientation go first."""
+    _check_crossings(diagram, cap)
+    w = diagram.writhe()
+    return kauffman(diagram, cap=cap), w
 
 
 def _jones_of(k: LaurentPolynomial, w: int, normalized: bool) -> LaurentPolynomial:
@@ -362,15 +380,12 @@ class TaitGraph:
     """Tait graph of an alternating diagram.
 
     The graph is returned as its own cellulation of the same surface; edges
-    correspond one-to-one with crossings.  ``edge_base_chain`` carries, for
-    each Tait edge, a 1-chain of diagram edges homologous to it on the
-    surface (used to compare Tait-cycle classes with state-curve classes).
+    correspond one-to-one with crossings, each Tait edge named by the
+    smaller over dart of its crossing.
     """
 
     graph: EmbeddedSubgraph
     crossing_edge: dict[int, int]
-    shaded_faces: frozenset[int]
-    edge_base_chain: dict[int, Chain]
 
     @property
     def map(self) -> CombinatorialMap:
@@ -391,50 +406,42 @@ def tait_graph(diagram: LinkDiagram) -> TaitGraph:
         raise NotAlternating("Tait graph needs a diagram with crossings only")
     if not diagram.is_alternating():
         raise NotAlternating("diagram is not alternating on its surface")
-    over_darts = [d for d in base.darts if diagram.dart_is_over[d]]
     alpha_g: dict[int, int] = {}
     crossing_edge: dict[int, int] = {}
-    edge_chain: dict[int, Chain] = {}
     for v, pair in diagram.over.items():
         o1, o2 = sorted(pair)
-        alpha_g[o1] = o2
-        alpha_g[o2] = o1
+        alpha_g[o1], alpha_g[o2] = o2, o1
         crossing_edge[v] = o1
-        # o1's face walk up to the crossing, then o2's walk back from it
-        back = [base.alpha[d] for d in _face_walk_to(base, o2)]
-        edge_chain[o1] = base.chain(_face_walk_to(base, o1) + back)
-    g_map = CombinatorialMap({d: base.phi(d) for d in over_darts}, alpha_g)
+    rotation = {d: base.phi(d) for d in base.darts if diagram.dart_is_over[d]}
+    g_map = CombinatorialMap(rotation, alpha_g)
     if g_map.total_genus != base.total_genus:
         raise InternalInvariantError("Tait graph genus differs from the diagram's")
-    return TaitGraph(
-        graph=EmbeddedSubgraph.full(g_map),
-        crossing_edge=crossing_edge,
-        shaded_faces=frozenset(base.face_of[d] for d in over_darts),
-        edge_base_chain=edge_chain,
-    )
+    return TaitGraph(graph=EmbeddedSubgraph.full(g_map), crossing_edge=crossing_edge)
 
 
-def _face_walk_to(m: CombinatorialMap, corner_dart: int) -> list[int]:
-    """The face walk from its start (the face id) up to the corner of
-    ``corner_dart`` (the turn right before that dart is traversed); two
-    corners of the same face at the same vertex get distinct stops, which is
-    what keeps Tait loop edges homologically honest."""
-    walk, d = [], m.face_of[corner_dart]
-    while d != corner_dart:
-        walk.append(d)
-        d = m.phi(d)
-    return walk
+def _tait_edge_chain(m: CombinatorialMap, o1: int, o2: int) -> Chain:
+    """A diagram chain homologous to the Tait edge of over darts o1 and o2:
+    o1's face walk from the face id up to o1, then o2's walk back from o2,
+    so two corners of one face at one vertex stop apart, even on a loop."""
+    walks = []
+    for corner in (o1, o2):
+        walk, d = [], m.face_of[corner]
+        while d != corner:
+            walk.append(d)
+            d = m.phi(d)
+        walks.append(walk)
+    return m.chain(walks[0] + [m.alpha[d] for d in walks[1]])
 
 
 def tait_cycle_classes(
-    diagram: LinkDiagram,
-    tait: TaitGraph,
-    h_edges: Iterable[int],
-    hom: SurfaceHomology,
+    diagram: LinkDiagram, tait: TaitGraph, h_edges: Iterable[int], hom: SurfaceHomology
 ) -> Subspace:
     """V(H) of a Tait spanning subgraph, expressed in the diagram surface's
-    H1 coordinates through the per-edge base chains."""
-    classes = {e: hom.chain_class(tait.edge_base_chain[e]) for e in h_edges}
+    H1 coordinates through a diagram chain per edge of H."""
+    alpha = tait.map.alpha
+    classes = {
+        e: hom.chain_class(_tait_edge_chain(diagram.base, e, alpha[e])) for e in h_edges
+    }
     return _cycle_span(_links(tait.map, classes, classes), hom.dim)[0]
 
 
@@ -450,20 +457,15 @@ def verify_thistlethwaite(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Polyn
     i's Tait edge and the crossing's type-(2) or type-(1) smoothing links on
     the curves' potential union-find (`_potentials`), so a state S and its
     Tait subgraph H(S) reach the same leaf, with acc = (Tait code, (span
-    id, curve count)).  P_G and K_D are read off the leaves' counts, each
-    distinct code decoded once; the witness is the least failing Tait
-    subgraph mask, built from a state's mask only when the state fails."""
+    id, curve count)).  P_G and K_D (by `_kauffman_of`) are read off the
+    leaves' counts, each distinct code decoded once; the witness is the
+    least failing Tait subgraph mask, built only when a state fails."""
     tait = tait_graph(diagram)
-    _check_crossings(diagram, cap)
-    g_map = tait.map
-    g = diagram.genus
-    v = g_map.n_vertices
-    c = g_map.n_components
-    e = g_map.n_edges
+    spans, links, smoothings = _curve_links(diagram, cap)
+    g_map, g = tait.map, diagram.genus
+    v, c, e = g_map.n_vertices, g_map.n_components, g_map.n_edges
     n = e - v + c
     sc = SubgraphScanner(tait.graph)
-    hom, links, smoothings = _curve_links(diagram)
-    spans = _Spans(hom.dim)
     uf, state, curve_steps, curve_apply = _potentials(links, smoothings, spans)
     # the Tait union-find goes after the curves' one, its nodes shifted
     shift = len(uf)
@@ -508,13 +510,12 @@ def verify_thistlethwaite(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Polyn
         if bad and key in bad:
             tait_mask = sum(1 << i for j, i in enumerate(edge) if mask >> j & 1)
             failed = tait_mask if failed is None else min(failed, tait_mask)
-    terms: Counter = Counter()
+    state_counts: Counter = Counter()
     tait_counts: Counter = Counter()
-    for (a_count, (code, (span, c_s))), cnt in counts.items():
-        r = spans.spaces[span].dim
-        terms[a_count, diagram.n_crossings - a_count, c_s - r, r] += cnt
+    for (a_count, (code, curves)), cnt in counts.items():
+        state_counts[a_count, curves] += cnt
         tait_counts[decoded[code]] += cnt
-    k_poly = LaurentPolynomial(_KVARS, terms)
+    k_poly = _kauffman_of(diagram.n_crossings, spans, state_counts)
     p = _p_of(tait_counts)
     mono = LaurentPolynomial.monomial
     bound = p.substitute(
@@ -527,25 +528,21 @@ def verify_thistlethwaite(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Polyn
     )
     rhs = mono(1, {"A": g + v - c, "B": n - g, "d": c, "Z": g}) * bound
     ok_main = k_poly == rhs
-    verdicts = [
-        Verdict(
-            "bracket K_D = A^(g+v-c) B^(n-g) d^c Z^g P_G(Bd/A, Ad/B, A/BZ, B/AZ)",
-            ok_main,
-            None if ok_main else f"diagram: {serialize_diagram(diagram)!r}",
-        )
-    ]
-
-    verdicts.append(
-        Verdict(
-            "per-state correspondences a(S)=e(H), c(S)=bc(H), k(S)=c(H)+k(H), r(S)=l(H)",
-            failed is None,
-            None if failed is None else f"subgraph mask {failed} of {serialize_diagram(diagram)!r}",
-        )
-    )
     return PolynomialReport(
         description=f"thistlethwaite on {diagram.n_crossings}-crossing diagram, genus {g}",
         polynomials={"K_D": k_poly.to_canonical_string()},
-        verdicts=tuple(verdicts),
+        verdicts=(
+            Verdict(
+                "bracket K_D = A^(g+v-c) B^(n-g) d^c Z^g P_G(Bd/A, Ad/B, A/BZ, B/AZ)",
+                ok_main,
+                None if ok_main else f"diagram: {serialize_diagram(diagram)!r}",
+            ),
+            Verdict(
+                "per-state correspondences a(S)=e(H), c(S)=bc(H), k(S)=c(H)+k(H), r(S)=l(H)",
+                failed is None,
+                None if failed is None else f"subgraph mask {failed} of {serialize_diagram(diagram)!r}",
+            ),
+        ),
     )
 
 

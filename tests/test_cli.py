@@ -85,6 +85,22 @@ def test_jones_raw_fallback(capsys, data_dir, monkeypatch):
     assert code == 0 and out2 == out and err2 == ""
 
 
+def test_jones_without_orientation_exits_2_before_the_state_sum(capsys, data_dir, tmp_path, monkeypatch):
+    links_mod = importlib.import_module("surfpoly.links")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the state sum ran before the orientation check")
+
+    monkeypatch.setattr(links_mod, "_walk", refuse)
+    bare = tmp_path / "trefoil.vlk"
+    bare.write_text((data_dir / "trefoil.vlk").read_text().replace("orient: 1\n", ""))
+    code, out, err = run_cli(capsys, "jones", str(bare))
+    assert (code, out) == (2, "")
+    assert err == "error: writhe needs one orientation lead per strand component\n"
+    code, out, err = run_cli(capsys, "--cap", "2", "jones", str(bare))
+    assert (code, out, err) == (2, "", "error: 3 crossings exceeds cap 2\n")
+
+
 def test_tait_output(capsys, data_dir, tb2):
     from surfpoly.maps import serialize_map
 

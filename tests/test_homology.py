@@ -36,6 +36,7 @@ from surfpoly.links import states, tait_cycle_classes, tait_graph
 from surfpoly.maps import CombinatorialMap, EmbeddedSubgraph, UnionFind, random_map
 from surfpoly.polynomials import p_bruteforce
 from test_invariants import random_marking
+from test_links import reference_tait
 
 
 def test_h1_dimensions(tb2, sl, octagon):
@@ -377,6 +378,7 @@ def test_states_and_tait_classes_match_reference_route():
     for d in diagrams:
         hom = SurfaceHomology(d.surface_map)
         tait = tait_graph(d)
+        edge_chain = reference_tait(d)[3]
         for st in states(d):
             assert st.curves == reference_curves(d, st.choices)
             v = Subspace.from_vectors(
@@ -388,7 +390,7 @@ def test_states_and_tait_classes_match_reference_route():
             for cycle in reference_fundamental_cycles(tait.graph, h):
                 chain: dict = {}
                 for e, coeff in cycle.items():
-                    for be, bc in tait.edge_base_chain[e].items():
+                    for be, bc in edge_chain[e].items():
                         chain[be] = chain.get(be, Fraction(0)) + coeff * bc
                 pushed.append(reference_project(hom, chain))
             assert tait_cycle_classes(d, tait, h, hom) == Subspace.from_vectors(pushed, hom.dim)

@@ -22,6 +22,7 @@ from surfpoly.homology import SurfaceHomology, Subspace, orthogonal_complement
 from surfpoly.laurent import LaurentPolynomial as L
 from surfpoly.links import (
     LinkDiagram,
+    _tait_edge_chain,
     classical_bracket,
     jones,
     kauffman,
@@ -196,6 +197,27 @@ def test_jones_needs_orientation(data_dir):
         jones(d)
 
 
+def test_jones_checks_cap_and_orientation_before_the_state_sum(data_dir, monkeypatch):
+    # with the walk refused, a diagram without orientation still raises
+    # MissingOrientation, and one over the cap TooManyCrossings first
+    import dataclasses
+
+    import surfpoly.links as links_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the state sum ran before its input was checked")
+
+    monkeypatch.setattr(links_module, "_walk", refuse)
+    diagrams = [parse_diagram((data_dir / "trefoil.vlk").read_text())]
+    diagrams += alternating_diagrams(1, 2, 9, seed=5, min_crossings=8)
+    for d in diagrams:
+        bare = dataclasses.replace(d, orientation=None)
+        with pytest.raises(MissingOrientation):
+            jones(bare)
+        with pytest.raises(TooManyCrossings):
+            jones(bare, cap=d.n_crossings - 1)
+
+
 def test_writhe_needs_a_lead_per_component(data_dir):
     # torus-alt has two components; one lead would leave the other unoriented
     text = (data_dir / "torus-alt.vlk").read_text()
@@ -360,9 +382,9 @@ def test_tait_graph_matches_two_colouring_reference(data_dir):
         g_map, shaded, crossing_edge, edge_chain = reference_tait(d)
         assert t.map == g_map
         assert t.map.sigma == {x: d.base.phi(x) for x in d.base.darts if d.dart_is_over[x]}
-        assert t.shaded_faces == shaded
+        assert {d.base.face_of[x] for x in t.map.darts} == shaded
         assert t.crossing_edge == crossing_edge
-        assert t.edge_base_chain == edge_chain
+        assert {e: _tait_edge_chain(d.base, e, t.map.alpha[e]) for e in t.map.edge_ids} == edge_chain
 
 
 def test_tait_graph_of_a_split_diagram(data_dir):
@@ -481,6 +503,26 @@ def test_brackets_equal_the_state_by_state_sums(data_dir):
         got = tilde_kauffman(d)
         assert [v for v, _ in got] == [v for v, _ in parts]
         assert [p.to_canonical_string() for _, p in got] == [p.to_canonical_string() for _, p in parts]
+
+
+def test_brackets_build_no_resolution_state(data_dir, monkeypatch):
+    """kauffman, tilde_kauffman, jones and classical_bracket read the count
+    of states per key: neither `states()` nor `ResolutionState` runs."""
+    import surfpoly.links as links_module
+
+    diagrams = [
+        parse_diagram((data_dir / name).read_text()) for name in ("trefoil.vlk", "torus-alt.vlk")
+    ]
+    diagrams += alternating_diagrams(2, 2, 8, seed=12, min_crossings=5)
+    fns = (kauffman, tilde_kauffman, jones, classical_bracket)
+    expected = [[fn(d) for fn in fns] for d in diagrams]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bracket was built state by state")
+
+    monkeypatch.setattr(links_module, "ResolutionState", refuse)
+    monkeypatch.setattr(links_module, "states", refuse)
+    assert [[fn(d) for fn in fns] for d in diagrams] == expected
 
 
 def test_tilde_kauffman_remark1_tait_correspondence():
