@@ -163,8 +163,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_jones(args) -> int:
-    d = _load_diagram(args.file)
-    bracket, w = _bracket_and_writhe(d, args.cap)
+    bracket, w = _bracket_and_writhe(_load_diagram(args.file), args.cap)
     try:
         # the unnormalized image never raises: d occurs with exponents k >= 0
         poly = _jones_of(bracket, w, normalized=not args.raw)

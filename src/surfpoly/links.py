@@ -14,9 +14,8 @@ alternating diagram, which is exactly what the Tait-graph correspondence
 requires (the acceptance suite pins the convention by forcing the
 Thistlethwaite-type identity to hold).
 
-The brackets read one count, of the states per (a(S), span of the curve
-classes, c(S)), off the walk that `states()` streams; `_kauffman_of` maps
-a key to its monomial A^a B^(n-a) d^(c-r) Z^r.
+The brackets read one count of the states per (a(S), span, c(S)) off the
+walk that `states()` streams, a key standing for A^a B^(n-a) d^(c-r) Z^r.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .errors import (
     OverPairNotOpposite,
     TooManyCrossings,
 )
-from .homology import Chain, Subspace, SurfaceHomology, radial_map
+from .homology import Subspace, SurfaceHomology, radial_map
 from .homology import _cycle_span, _links, _potentials, _Spans, _walk
 from .invariants import DEFAULT_CAP, SubgraphInvariants, SubgraphScanner, _link, walk
 from .laurent import LaurentPolynomial
@@ -144,7 +143,9 @@ class LinkDiagram:
 
     @cached_property
     def dart_is_over(self) -> dict[int, bool]:
-        return {d: d in self.over[self.base.vertex_of[d]] for d in self.base.darts}
+        return {
+            d: d in self.over[self.base.vertex_of[d]] for d in self.base.darts
+        }
 
     def writhe(self) -> int:
         """Signed crossing count; positive when the over-strand exits along
@@ -320,8 +321,9 @@ def kauffman(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> LaurentPolynomial:
 
 def classical_bracket(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> LaurentPolynomial:
     """d^-1 K(A, B, d, d): the classical (virtual) Kauffman bracket."""
+    k = kauffman(diagram, cap=cap)
     dvar = LaurentPolynomial.variable("d")
-    return kauffman(diagram, cap=cap).substitute({"Z": dvar}) * dvar ** -1
+    return (k.substitute({"Z": dvar})) * dvar ** -1
 
 
 def tilde_kauffman(
@@ -400,48 +402,45 @@ def tait_graph(diagram: LinkDiagram) -> TaitGraph:
     A crossing's rotation alternates over and under darts, and alternation
     makes alpha flip the kind, so phi = sigma∘alpha keeps it: every face is
     all-over or all-under.  The shaded faces are the faces of the over
-    darts, and the Tait rotation is phi on the over darts."""
+    darts, the Tait rotation is phi on them and its alpha is sigma^2."""
     base = diagram.base
     if not base.darts or diagram.free_loops:
         raise NotAlternating("Tait graph needs a diagram with crossings only")
     if not diagram.is_alternating():
         raise NotAlternating("diagram is not alternating on its surface")
-    alpha_g: dict[int, int] = {}
-    crossing_edge: dict[int, int] = {}
-    for v, pair in diagram.over.items():
-        o1, o2 = sorted(pair)
-        alpha_g[o1], alpha_g[o2] = o2, o1
-        crossing_edge[v] = o1
     rotation = {d: base.phi(d) for d in base.darts if diagram.dart_is_over[d]}
-    g_map = CombinatorialMap(rotation, alpha_g)
+    g_map = CombinatorialMap(rotation, {d: base.sigma[base.sigma[d]] for d in rotation})
     if g_map.total_genus != base.total_genus:
         raise InternalInvariantError("Tait graph genus differs from the diagram's")
+    crossing_edge = {v: min(pair) for v, pair in diagram.over.items()}
     return TaitGraph(graph=EmbeddedSubgraph.full(g_map), crossing_edge=crossing_edge)
 
 
-def _tait_edge_chain(m: CombinatorialMap, o1: int, o2: int) -> Chain:
-    """A diagram chain homologous to the Tait edge of over darts o1 and o2:
-    o1's face walk from the face id up to o1, then o2's walk back from o2,
-    so two corners of one face at one vertex stop apart, even on a loop."""
-    walks = []
-    for corner in (o1, o2):
-        walk, d = [], m.face_of[corner]
-        while d != corner:
-            walk.append(d)
-            d = m.phi(d)
-        walks.append(walk)
-    return m.chain(walks[0] + [m.alpha[d] for d in walks[1]])
+def _face_walk_to(m: CombinatorialMap, corner_dart: int) -> list[int]:
+    """The face walk from its start (the face id) up to the corner of
+    ``corner_dart`` (the turn right before that dart is traversed); two
+    corners of the same face at the same vertex get distinct stops, which is
+    what keeps Tait loop edges homologically honest."""
+    walk, d = [], m.face_of[corner_dart]
+    while d != corner_dart:
+        walk.append(d)
+        d = m.phi(d)
+    return walk
 
 
 def tait_cycle_classes(
-    diagram: LinkDiagram, tait: TaitGraph, h_edges: Iterable[int], hom: SurfaceHomology
+    diagram: LinkDiagram,
+    tait: TaitGraph,
+    h_edges: Iterable[int],
+    hom: SurfaceHomology,
 ) -> Subspace:
-    """V(H) of a Tait spanning subgraph, expressed in the diagram surface's
-    H1 coordinates through a diagram chain per edge of H."""
-    alpha = tait.map.alpha
-    classes = {
-        e: hom.chain_class(_tait_edge_chain(diagram.base, e, alpha[e])) for e in h_edges
-    }
+    """V(H) of a Tait spanning subgraph in the diagram surface's H1: Tait edge
+    e is e's face walk up to its crossing, then alpha(e)'s walk back."""
+    base = diagram.base
+    classes = {}
+    for e in h_edges:
+        back = [base.alpha[d] for d in _face_walk_to(base, tait.map.alpha[e])]
+        classes[e] = hom.chain_class(base.chain(_face_walk_to(base, e) + back))
     return _cycle_span(_links(tait.map, classes, classes), hom.dim)[0]
 
 
@@ -462,8 +461,11 @@ def verify_thistlethwaite(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Polyn
     least failing Tait subgraph mask, built only when a state fails."""
     tait = tait_graph(diagram)
     spans, links, smoothings = _curve_links(diagram, cap)
-    g_map, g = tait.map, diagram.genus
-    v, c, e = g_map.n_vertices, g_map.n_components, g_map.n_edges
+    g_map = tait.map
+    g = diagram.genus
+    v = g_map.n_vertices
+    c = g_map.n_components
+    e = g_map.n_edges
     n = e - v + c
     sc = SubgraphScanner(tait.graph)
     uf, state, curve_steps, curve_apply = _potentials(links, smoothings, spans)
