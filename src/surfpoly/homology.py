@@ -31,14 +31,13 @@ so the face-loop matrix is the incidence matrix of a directed graph, totally
 unimodular, and its RREF has entries in {-1, 0, 1} (`_build` checks this).
 V(H) is spanned by the classes of the cycles that one potential union-find
 pass over H's edges closes (`_cycles`), each class packed into one int.  A
-state sum over all 2^e subgraphs runs that union-find over the masks
-(`_walk`, whose walker arguments `_potentials` builds) on the engine's one
-walker, `surfpoly.invariants.walk`, and keeps each span as an id into a
-table of interned subspaces (`_Spans`), which grows a span by inserting one
-new class into its rows.  tilde-P
-reads its exponents off its walk's nullities and spans, and checks their
-counts against the frontier DP; subgroup duality walks H and H* at once, and
-their nullities and spans give its exponents.
+state sum over all 2^e subgraphs runs that union-find, on a list of its
+own, over the masks (`_walk`) on the engine's one walker,
+`surfpoly.invariants.walk`, and keeps each span as an id into a table of
+interned subspaces (`_Spans`), which grows a span by inserting one new class
+into its rows.  tilde-P reads its exponents off its walk's nullities and
+spans, and checks their counts against the frontier DP; subgroup duality
+walks H and H* at once, and their nullities and spans give its exponents.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, InternalInvariantError, RadicalNotBoundaries
 from .invariants import DEFAULT_CAP, check_cap, histogram, walk
@@ -470,23 +469,22 @@ class _Spans:
         return j
 
 
-def _potentials(
+def _walk(
     base: Iterable[SideLink], steps: Sequence[tuple[Sequence[SideLink], Sequence[SideLink]]],
     spans: _Spans, sides: int = 1,
-) -> tuple[list[int], tuple[int, ...], list[tuple[list[SideLink], list[SideLink]]], Callable]:
-    """The arguments (uf, state, steps, apply) of the
-    :func:`~surfpoly.invariants.walk` that `_walk` runs.
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(mask, state) for every mask over ``steps``, masks in increasing
+    order, from one :func:`~surfpoly.invariants.walk` of a potential
+    union-find: the spans and nullities that each mask's links close.
 
-    A link (side, tail, head, packed class) joins two nodes of one potential
-    union-find, as in `_cycles`; a link that closes a cycle extends its
-    side's span by the cycle's class and adds one to the side's nullity.
-    The ``base`` links are applied once, to the returned uf and state; then
-    step i applies its out links (bit i clear) or its in links (bit i set).
-    The n nodes are renumbered densely, so the union-find is the first 2n
-    entries of a list: node x's parent at ``uf[x]`` and the class of the
-    path from that parent to x at ``uf[n + x]``; a caller may append its
-    own union-find after them.  state[2s] is side s's span id in ``spans``
-    and state[2s + 1] its nullity.
+    A link (side, tail, head, packed class) joins two nodes, as in
+    `_cycles`; a link that closes a cycle extends its side's span by the
+    cycle's class and adds one to the side's nullity.  The ``base`` links
+    are applied once; then step i applies its out links (bit i clear) or its
+    in links (bit i set).  The n nodes are renumbered densely, so the
+    union-find is one list of 2n entries: node x's parent at ``uf[x]`` and
+    the class of the path from that parent to x at ``uf[n + x]``.  state[2s]
+    is side s's span id in ``spans`` and state[2s + 1] its nullity.
     """
     index: dict[int, int] = {}
 
@@ -518,17 +516,7 @@ def _potentials(
         return state
 
     uf = [*range(n), *[0] * n]
-    return uf, apply(uf, (0, 0) * sides, base), steps, apply
-
-
-def _walk(
-    base: Iterable[SideLink], steps: Sequence[tuple[Sequence[SideLink], Sequence[SideLink]]],
-    spans: _Spans, sides: int = 1,
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(mask, state) for every mask over ``steps``, masks in increasing
-    order, from one :func:`~surfpoly.invariants.walk` of `_potentials`:
-    the spans and nullities that each mask's links close."""
-    return enumerate(walk(*_potentials(base, steps, spans, sides)))
+    return enumerate(walk(uf, apply(uf, (0, 0) * sides, base), steps, apply))
 
 
 def fundamental_cycles(

@@ -12,7 +12,7 @@ Laurent ring (inverting a non-monomial) raise :class:`NonLaurentResult`.
 from __future__ import annotations
 
 from operator import add, itemgetter
-from typing import Iterable, Mapping, Union
+from typing import Collection, Iterable, Mapping, Union
 
 from .errors import NonLaurentResult
 
@@ -85,12 +85,7 @@ class LaurentPolynomial:
     def __mul__(self, other: Coeffable) -> "LaurentPolynomial":
         other = _coerce(other)
         names, a, b = _align(self, other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(map(add, e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPolynomial(names, out)
+        return LaurentPolynomial(names, _product(a.items(), b.items()))
 
     __rmul__ = __mul__
 
@@ -164,7 +159,7 @@ class LaurentPolynomial:
                 continue
             powers = [[], list(_expand(b, names).items())]
             for _ in range(2, max(ks) + 1):
-                powers.append(_product(powers[-1], powers[1]))
+                powers.append([(e, c) for e, c in _product(powers[-1], powers[1]).items() if c])
             lifted.append((i, powers))
         lifted.sort(key=itemgetter(0))  # column order, whatever the bindings' order
         total: dict[tuple[int, ...], int] = {}
@@ -275,16 +270,16 @@ def _align(a: LaurentPolynomial, b: LaurentPolynomial):
 
 
 def _product(
-    a: list[tuple[tuple[int, ...], int]], b: list[tuple[tuple[int, ...], int]]
-) -> list[tuple[tuple[int, ...], int]]:
-    """The product of two (exponents, coeff) lists over the same names,
-    like terms merged and zeros dropped."""
+    a: Collection[tuple[tuple[int, ...], int]], b: Collection[tuple[tuple[int, ...], int]]
+) -> dict[tuple[int, ...], int]:
+    """The product of two collections of (exponents, coeff) pairs over the
+    same names, like terms merged; zero coefficients are left in."""
     out: dict[tuple[int, ...], int] = {}
     for e1, c1 in a:
         for e2, c2 in b:
             e = tuple(map(add, e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
-    return [(e, c) for e, c in out.items() if c]
+    return out
 
 
 def _expand(p: LaurentPolynomial, names: tuple[str, ...]) -> dict[tuple[int, ...], int]:

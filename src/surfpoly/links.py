@@ -35,7 +35,7 @@ from .errors import (
     TooManyCrossings,
 )
 from .homology import Subspace, SurfaceHomology, radial_map
-from .homology import _cycle_span, _links, _potentials, _Spans, _walk
+from .homology import _cycle_span, _links, _Spans, _walk
 from .invariants import DEFAULT_CAP, SubgraphInvariants, SubgraphScanner, _link, walk
 from .laurent import LaurentPolynomial
 from .maps import (
@@ -451,14 +451,17 @@ def verify_thistlethwaite(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Polyn
     for the Tait graph G, plus the per-state proof correspondences
     alpha(S(H)) = e(H), c(S) = bc(H), k(S) = c(H)+k(H), r(S) = l(H).
 
-    One :func:`~surfpoly.invariants.walk` over the crossings gives both
-    sides: branch i applies the Tait scanner's out or in step for crossing
-    i's Tait edge and the crossing's type-(2) or type-(1) smoothing links on
-    the curves' potential union-find (`_potentials`), so a state S and its
-    Tait subgraph H(S) reach the same leaf, with acc = (Tait code, (span
-    id, curve count)).  P_G and K_D (by `_kauffman_of`) are read off the
-    leaves' counts, each distinct code decoded once; the witness is the
-    least failing Tait subgraph mask, built only when a state fails."""
+    The crossings are renumbered so that crossing x's smoothings are bit i,
+    i being the Tait scanner's index of x's edge: a state's mask is then the
+    mask of its Tait subgraph H(S).  Two lazy
+    :func:`~surfpoly.invariants.walk` streams, both in increasing mask
+    order, each on its own union-find, are zipped: the curves' `_walk`,
+    giving (span id, curve count), and the Tait scanner's walk, giving
+    H(S)'s code.  The leaves are counted per (a(S), code, (span id, curve
+    count)), and each new key is checked once; P_G and K_D (by
+    `_kauffman_of`) are read off the counts, each distinct code decoded
+    once.  The first failing leaf is the least failing Tait subgraph mask,
+    and it is the witness."""
     tait = tait_graph(diagram)
     spans, links, smoothings = _curve_links(diagram, cap)
     g_map = tait.map
@@ -468,53 +471,39 @@ def verify_thistlethwaite(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Polyn
     e = g_map.n_edges
     n = e - v + c
     sc = SubgraphScanner(tait.graph)
-    uf, state, curve_steps, curve_apply = _potentials(links, smoothings, spans)
-    # the Tait union-find goes after the curves' one, its nodes shifted
-    shift = len(uf)
-    uf += [x + shift for x in sc.base]
-    edge = [sc.eidx[tait.crossing_edge[x]] for x in diagram.crossings]
-    steps = [
-        tuple(
-            ((plus, [(a + shift, b + shift, w) for a, b, w in tait_links]), curve_links)
-            for (plus, tait_links), curve_links in zip(sc.steps[i], curves)
-        )
-        for i, curves in zip(edge, curve_steps)
-    ]
-
-    def apply(uf: list[int], acc: tuple, branch: tuple) -> tuple:
-        tait_step, curve_links = branch
-        return _link(uf, acc[0], tait_step), curve_apply(uf, acc[1], curve_links)
-
-    # a leaf's count per (a(S), acc); a new key is checked when first reached
+    # crossing x's smoothings at its Tait edge's index: bit i is Tait edge i
+    steps = [None] * e
+    for x, smoothing in zip(diagram.crossings, smoothings):
+        steps[sc.eidx[tait.crossing_edge[x]]] = smoothing
+    curve_walk = _walk(links, steps, spans)
+    tait_walk = walk(list(sc.base), sc.base_code, sc.steps, _link)
+    # a leaf's count per (a(S), code, (span, c(S))); a new key is checked once
     counts: dict[tuple, int] = {}
     decoded: dict[int, SubgraphInvariants] = {}
-    bad: set[tuple] = set()
     failed: int | None = None
-    for mask, acc in enumerate(walk(uf, (sc.base_code, state), steps, apply)):
-        key = mask.bit_count(), acc
+    for (mask, curves), code in zip(curve_walk, tait_walk):
+        a_count = mask.bit_count()
+        key = a_count, code, curves
         if key in counts:
             counts[key] += 1
-        else:
-            counts[key] = 1
-            a_count, (code, (span, c_s)) = key
-            if code not in decoded:
-                decoded[code] = sc.decode(code)
-            inv = decoded[code]
-            r = spans.spaces[span].dim
-            if not (
-                a_count == inv.e
-                and diagram.n_crossings - a_count == e - inv.e
-                and c_s == inv.bc
-                and c_s - r == inv.c + inv.k
-                and r == inv.l
-            ):
-                bad.add(key)
-        if bad and key in bad:
-            tait_mask = sum(1 << i for j, i in enumerate(edge) if mask >> j & 1)
-            failed = tait_mask if failed is None else min(failed, tait_mask)
+            continue
+        counts[key] = 1
+        if code not in decoded:
+            decoded[code] = sc.decode(code)
+        inv = decoded[code]
+        span, c_s = curves
+        r = spans.spaces[span].dim
+        if failed is None and not (
+            a_count == inv.e
+            and diagram.n_crossings - a_count == e - inv.e
+            and c_s == inv.bc
+            and c_s - r == inv.c + inv.k
+            and r == inv.l
+        ):
+            failed = mask
     state_counts: Counter = Counter()
     tait_counts: Counter = Counter()
-    for (a_count, (code, curves)), cnt in counts.items():
+    for (a_count, code, curves), cnt in counts.items():
         state_counts[a_count, curves] += cnt
         tait_counts[decoded[code]] += cnt
     k_poly = _kauffman_of(diagram.n_crossings, spans, state_counts)

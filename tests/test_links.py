@@ -580,8 +580,8 @@ def test_thistlethwaite_random_surfaces():
 
 
 def test_thistlethwaite_sweeps_states_once(data_dir, monkeypatch):
-    """One walk over the 2^n crossing masks carries the states and their Tait
-    subgraphs together: neither `states()` nor `scan()` runs."""
+    """Two walks over the 2^n masks, zipped: the curves' walk and the Tait
+    scanner's, each once; neither `states()` nor `scan()` runs."""
     engine = importlib.import_module("surfpoly.invariants")
     import surfpoly.homology as homology_module
     import surfpoly.links as links_module
@@ -590,9 +590,10 @@ def test_thistlethwaite_sweeps_states_once(data_dir, monkeypatch):
     real = engine.walk
 
     def counted(*args):
+        i = len(walks)  # the walks interleave, so each counts its own leaves
         walks.append(0)
         for acc in real(*args):
-            walks[-1] += 1
+            walks[i] += 1
             yield acc
 
     def refuse(*args, **kwargs):
@@ -602,7 +603,6 @@ def test_thistlethwaite_sweeps_states_once(data_dir, monkeypatch):
         monkeypatch.setattr(module, "walk", counted)
     for module, name in [
         (links_module, "states"),
-        (links_module, "_walk"),
         (links_module, "ResolutionState"),
         (engine, "scan"),
         (engine.SubgraphScanner, "codes"),
@@ -615,7 +615,7 @@ def test_thistlethwaite_sweeps_states_once(data_dir, monkeypatch):
     for d in (parse_diagram((data_dir / "trefoil.vlk").read_text()), medial_diagram(genus2)):
         walks.clear()
         assert verify_thistlethwaite(d).all_passed
-        assert walks == [1 << d.n_crossings]
+        assert walks == [1 << d.n_crossings] * 2
 
 
 def test_thistlethwaite_reads_p_off_the_tait_sweep(data_dir, monkeypatch):
