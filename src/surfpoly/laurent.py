@@ -11,8 +11,10 @@ Laurent ring (inverting a non-monomial) raise :class:`NonLaurentResult`.
 
 from __future__ import annotations
 
-from operator import add, itemgetter
-from typing import Collection, Iterable, Mapping, Union
+from functools import partial, reduce
+from itertools import repeat
+from operator import add, itemgetter, mul
+from typing import Collection, Iterable, Iterator, Mapping, Union
 
 from .errors import NonLaurentResult
 
@@ -129,57 +131,61 @@ class LaurentPolynomial:
         A non-monomial binding is only legal for a variable occurring with
         nonnegative exponents; monomial bindings (unit coefficient) are legal
         for any exponents.
+
+        Free variables and monomial bindings c * prod w^x, constants
+        included, act on lazy exponent columns, one per variable: a binding
+        adds x times its variable's column to each w's and scales the
+        coefficients by c^|k|, one term out per term in.  Any other binding
+        expands term by term, each power built from the one below.
         """
         bound = {v: _coerce(p) for v, p in bindings.items() if v in self._vars}
         if not bound:
             return self
-        names = tuple(sorted(
-            {v for v in self._vars if v not in bound}.union(*(b._vars for b in bound.values()))
-        ))
-        column = {v: j for j, v in enumerate(names)}
-        # Free columns are copied by index.  A monomial binding, constants
-        # included, maps a term to one term: add k times its sparse exponent
-        # vector and multiply by c^|k|.  Only the other bindings keep every
-        # power a term uses, each built from the one below by one product.
-        free = [(i, column[v]) for i, v in enumerate(self._vars) if v not in bound]
-        monomials, lifted = [], []
+        free = {v: i for i, v in enumerate(self._vars) if v not in bound}
+        names = tuple(sorted(set(free).union(*(b._vars for b in bound.values()))))
+
+        def exps(i: int) -> Iterator[int]:
+            return map(itemgetter(i), self._terms)
+
+        # the columns that add up to each output column, and the coefficients
+        parts = {v: [exps(free[v])] if v in free else [] for v in names}
+        coeffs: Iterable[int] = self._terms.values()
+        lifted = []
         for v, b in bound.items():
             i = self._vars.index(v)
-            ks = {e[i] for e in self._terms} - {0}
-            if min(ks) < 0:
-                coeff_ok = b.is_monomial() and abs(next(iter(b._terms.values()))) == 1
-                if not coeff_ok:
-                    raise NonLaurentResult(
-                        f"binding for {v} must be an invertible monomial "
-                        f"(it appears with negative exponents)"
-                    )
+            ks = set(exps(i)) - {0}
+            if min(ks) < 0 and not (b.is_monomial() and abs(next(iter(b._terms.values()))) == 1):
+                raise NonLaurentResult(
+                    f"binding for {v} must be an invertible monomial "
+                    f"(it appears with negative exponents)"
+                )
             if b.is_monomial():
                 (e, c), = b._terms.items()
-                monomials.append((i, [(column[w], x) for w, x in zip(b._vars, e)], c))
+                for w, x in zip(b._vars, e):
+                    parts[w].append(exps(i) if x == 1 else map(mul, exps(i), repeat(x)))
+                if c != 1:
+                    coeffs = map(mul, coeffs, map(pow, repeat(c), map(abs, exps(i))))
                 continue
             powers = [[], list(_expand(b, names).items())]
             for _ in range(2, max(ks) + 1):
                 powers.append([(e, c) for e, c in _product(powers[-1], powers[1]).items() if c])
             lifted.append((i, powers))
         lifted.sort(key=itemgetter(0))  # column order, whatever the bindings' order
+        columns = (reduce(partial(map, add), p) if p else repeat(0) for p in parts.values())
+        keys = zip(*columns) if names else repeat(())
         total: dict[tuple[int, ...], int] = {}
-        for exps, c in self._terms.items():
-            key = [0] * len(names)
-            for i, j in free:
-                key[j] = exps[i]
-            for i, sparse, bc in monomials:
-                k = exps[i]
+        if not lifted:
+            for key, c in zip(keys, coeffs):
+                total[key] = total.get(key, 0) + c
+            return LaurentPolynomial(names, total)
+        for key, c, *ks in zip(keys, coeffs, *(exps(i) for i, _ in lifted)):
+            products = [(key, c)]
+            for k, (_, powers) in zip(ks, lifted):
                 if k:
-                    for j, x in sparse:
-                        key[j] += k * x
-                    c *= bc ** abs(k)
-            products = [(tuple(key), c)]
-            for i, powers in lifted:
-                if exps[i]:
                     products = [
                         (tuple(map(add, e1, e2)), c1 * c2)
                         for e1, c1 in products
-                        for e2, c2 in powers[exps[i]]
+                        for e2, c2 in powers[k]
                     ]
             for e, coeff in products:
                 total[e] = total.get(e, 0) + coeff

@@ -11,12 +11,14 @@ q/v_e.
 
 from __future__ import annotations
 
-from operator import add
+from collections import Counter
+from itertools import repeat
+from operator import add, mul
 from typing import Mapping
 
 from .errors import MapFormatError
 from .laurent import LaurentPolynomial
-from .invariants import DEFAULT_CAP, scan
+from .invariants import DEFAULT_CAP, SubgraphScanner, check_cap
 from .maps import CombinatorialMap, EmbeddedSubgraph
 from .polynomials import _witness
 from .report import PolynomialReport, Verdict
@@ -54,13 +56,11 @@ class EdgeWeighting:
         if isinstance(graph, CombinatorialMap):
             graph = EmbeddedSubgraph.full(graph)
         self.graph = graph
-        assigned: dict[int, Monomial] = {}
         weights = dict(weights or {})
         unknown = set(weights) - set(graph.sorted_edges)
         if unknown:
             raise MapFormatError(f"weights for unknown edges {sorted(unknown)}")
-        for e in graph.sorted_edges:
-            assigned[e] = _as_monomial(weights.get(e, f"v{e}"))
+        assigned = {e: _as_monomial(weights.get(e, f"v{e}")) for e in graph.sorted_edges}
         reserved = RESERVED_NAMES - ({"q"} if _allow_q else set())
         for coeff, exps in assigned.values():
             bad = set(exps) & reserved
@@ -90,10 +90,12 @@ class EdgeWeighting:
         )
 
     def product(self) -> LaurentPolynomial:
-        total = LaurentPolynomial.constant(1)
-        for coeff, exps in self.assigned.values():
-            total = total * LaurentPolynomial.monomial(coeff, exps)
-        return total
+        """prod v_e as one monomial: exponents summed, coefficients multiplied."""
+        coeff, exps = 1, Counter()
+        for c, x in self.assigned.values():
+            coeff *= c
+            exps.update(x)
+        return LaurentPolynomial.monomial(coeff, exps)
 
 
 def p_bar(
@@ -106,36 +108,39 @@ def p_bar(
         graph = EmbeddedSubgraph.full(graph)
     weighting = weighting or EdgeWeighting(graph)
     edges = graph.sorted_edges
-    subgraphs = scan(graph, cap)
+    check_cap(len(edges), cap)
+    sc = SubgraphScanner(graph)
+    codes = sc.codes()
+    qab = {"q": {}, "A": {}, "B": {}}  # the (q, A, B) part of a term, by code
+    for code in set(codes):
+        inv = sc.decode(code)
+        qab["q"][code], qab["A"][code], qab["B"][code] = inv.c, inv.s // 2, inv.s_perp // 2
     # sorted, as LaurentPolynomial keeps them, so its terms are not re-keyed
     names = sorted({"q", "A", "B"}.union(*(exps for _, exps in weighting.assigned.values())))
-    index = {v: i for i, v in enumerate(names)}
 
     def table(half):
-        """(weight vector, coefficient) of every subset of ``half``, by mask:
-        each edge doubles the table."""
-        rows = [((0,) * len(names), 1)]
+        """Exponent columns, one per name, and coefficients of the subsets
+        of ``half``, by mask."""
+        columns, coeffs = [[0] for _ in names], [1]
         for e in half:
             coeff, exps = weighting.weight(e)
-            vec = [0] * len(names)
-            for v, k in exps.items():
-                vec[index[v]] = k
-            rows += [(tuple(map(add, w, vec)), c * coeff) for w, c in rows]
-        return rows
+            for v, col in zip(names, columns):
+                col += [x + exps[v] for x in col] if v in exps else col
+            coeffs += [c * coeff for c in coeffs]
+        return columns, coeffs
 
-    # two tables of 2^(e/2) rows, not one of 2^e, to keep the memory small
-    h = len(edges) // 2
-    lo, hi, low = table(edges[:h]), table(edges[h:]), (1 << h) - 1
-    invariant_vecs: dict = {}  # the (q, A, B) part of a term, per invariant tuple
-    terms: dict[tuple[int, ...], int] = {}
-    for mask, inv in subgraphs:
-        d = invariant_vecs.get(inv)
-        if d is None:
-            d = invariant_vecs[inv] = [0] * len(names)
-            d[index["q"]], d[index["A"]], d[index["B"]] = inv.c, inv.s // 2, inv.s_perp // 2
-        (w1, c1), (w2, c2) = lo[mask & low], hi[mask >> h]
-        key = tuple(map(add, map(add, w1, w2), d))
-        terms[key] = terms.get(key, 0) + c1 * c2
+    # block r holds the masks whose high half is row r: columns of 2^(e/2), never 2^e
+    h = (len(edges) + 1) // 2
+    (lo, lo_coeffs), (hi, hi_coeffs) = table(edges[:h]), table(edges[h:])
+    size, terms = len(lo_coeffs), {}
+    for r, c in enumerate(hi_coeffs):
+        block = codes[r * size:(r + 1) * size]
+        columns = []
+        for v, low, high in zip(names, lo, hi):
+            col = map(add, low, repeat(high[r])) if high[r] else low
+            columns.append(map(add, col, map(qab[v].__getitem__, block)) if v in qab else col)
+        for key, k in zip(zip(*columns), lo_coeffs if c == 1 else map(mul, lo_coeffs, repeat(c))):
+            terms[key] = terms.get(key, 0) + k
     return LaurentPolynomial(tuple(names), terms)
 
 
@@ -163,9 +168,7 @@ def verify_multivariate_duality(
     g = m.total_genus
 
     lhs = p_bar(dual_graph, weighting.transported(dual_graph), cap=cap)
-    q = LaurentPolynomial.variable("q")
-    a = LaurentPolynomial.variable("A")
-    b = LaurentPolynomial.variable("B")
+    q, a, b = map(LaurentPolynomial.variable, "qAB")
     inner = p_bar(graph, weighting.inverted(), cap=cap)
     prefactor = (q ** (dual.n_components - m.n_vertices - g)) * weighting.product()
     rhs = prefactor * inner.substitute({"A": b * q ** -1, "B": a * q})
@@ -173,19 +176,10 @@ def verify_multivariate_duality(
     witness = None if ok else _witness(m)
     verdicts = [Verdict("multivariate duality Pbar_G* = q^(c*-v-g) (prod v) Pbar_G(q, q/v, B/q, Aq)", ok, witness)]
 
-    if g == 0:
-        z_dual = lhs.substitute({"A": 1, "B": 1})
-        z_rhs = (q ** (dual.n_components - m.n_vertices)) * weighting.product() * (
-            inner.substitute({"A": 1, "B": 1})
-        )
-        ok2 = z_dual == z_rhs
-        verdicts.append(
-            Verdict(
-                "planar relation Z_G* = q^(c(G*)-v(G)) (prod v) Z_G(q, q/v)",
-                ok2,
-                None if ok2 else _witness(m),
-            )
-        )
+    if g == 0:  # the prefactor is q^(c(G*)-v(G)) (prod v)
+        ok2 = lhs.substitute({"A": 1, "B": 1}) == prefactor * inner.substitute({"A": 1, "B": 1})
+        planar = "planar relation Z_G* = q^(c(G*)-v(G)) (prod v) Z_G(q, q/v)"
+        verdicts.append(Verdict(planar, ok2, None if ok2 else _witness(m)))
     return PolynomialReport(
         description=f"multivariate duality on {m!r}",
         polynomials={"Pbar_G*": lhs.to_canonical_string()},

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from test_laurent import _reference_substitute
 
+from surfpoly.corpus import random_maps_of_genus
 from surfpoly.errors import MapFormatError
 from surfpoly.invariants import scan
 from surfpoly.laurent import LaurentPolynomial as L
@@ -125,16 +127,42 @@ def test_p_bar_matches_mask_by_edge_reference(fig2):
     # 0-9 edges, odd counts included, so the two half tables differ in size
     graphs = [EmbeddedSubgraph.full(random_map(n, rng)) for n in range(10) for _ in range(2)]
     graphs.append(fig2)  # a marked subgraph: only some host edges carry weights
+    merged = dropped = 0  # graphs where like terms merged, and where some cancelled
     for g in graphs:
         # coefficients -1, 2 and -3 on monomials in two variables every edge shares
         shared = {
             e: L.monomial(rng.choice([-1, 2, -3]), {"w": rng.randint(-2, 2), "r": rng.randint(-1, 1)})
             for e in g.sorted_edges
         }
-        for w in (EdgeWeighting(g), EdgeWeighting(g).inverted(), EdgeWeighting(g, shared)):
+        # every edge w: subgraphs of one size with equal invariants share a
+        # key; signs alternating along the edges: some of those keys cancel
+        same = EdgeWeighting(g, {e: "w" for e in g.sorted_edges})
+        signed = EdgeWeighting(g, {e: L.monomial((-1) ** i, {"w": 1}) for i, e in enumerate(g.sorted_edges)})
+        for w in (EdgeWeighting(g), EdgeWeighting(g).inverted(), EdgeWeighting(g, shared), same, signed):
             got = p_bar(g, w)
             expected = _reference_p_bar(g, w)
             assert got == expected
+            assert got.to_canonical_string() == expected.to_canonical_string()
+        n_same, n_signed = (len(p_bar(g, w).terms) for w in (same, signed))
+        merged += n_same < 1 << len(g.sorted_edges)
+        dropped += n_signed < n_same
+    assert merged and dropped
+
+
+def test_substitute_on_p_bar_output_matches_term_by_term_reference():
+    """The duality's swap A -> B/q, B -> A q and the A = B = 1
+    specialization, on the 256-term p_bar of an 8-edge genus-2 map, with
+    the default weights and with q/v_e, whose v_e exponents are negative."""
+    m = random_maps_of_genus(1, 2, 8, 1, min_edges=8)[0]
+    q, a, b = L.variable("q"), L.variable("A"), L.variable("B")
+    for w in (EdgeWeighting(m), EdgeWeighting(m).inverted()):
+        poly = p_bar(m, w)
+        assert len(poly.terms) == 256
+        for bindings in ({"A": b * q ** -1, "B": a * q}, {"A": 1, "B": 1}):
+            got = poly.substitute(bindings)
+            expected = _reference_substitute(poly, bindings)
+            assert got.variables == expected.variables
+            assert got.terms == expected.terms
             assert got.to_canonical_string() == expected.to_canonical_string()
 
 
