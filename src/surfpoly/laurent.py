@@ -204,30 +204,16 @@ class LaurentPolynomial:
     def _canonical_string(self) -> str:
         if not self._terms:
             return "0"
-        # keys are distinct: ascending total degree, then descending exponents
-        keyed = sorted(
-            self._terms.items(), key=lambda item: (-sum(item[0]), item[0]), reverse=True
-        )
         pieces = []
-        for exps, c in keyed:
-            factors = []
-            for v, e in zip(self._vars, exps):
-                if e == 0:
-                    continue
-                factors.append(v if e == 1 else f"{v}^{e}")
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            pieces.append((c < 0, body))
-        first_neg, first = pieces[0]
-        out = ("-" if first_neg else "") + first
-        for neg, body in pieces[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+        # keys are distinct: ascending total degree, then descending exponents
+        for exps in sorted(sorted(self._terms, reverse=True), key=sum):
+            c = self._terms[exps]
+            factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(self._vars, exps) if e]
+            if abs(c) != 1 or not factors:
+                factors.insert(0, str(abs(c)))
+            sign = (" - " if c < 0 else " + ") if pieces else ("-" if c < 0 else "")
+            pieces.append(sign + "*".join(factors))
+        return "".join(pieces)
 
     __str__ = to_canonical_string
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .homology import Subspace, SurfaceHomology, radial_map
 from .homology import _cycle_span, _links, _Spans, _walk
-from .invariants import DEFAULT_CAP, SubgraphInvariants, SubgraphScanner, _link, walk
+from .invariants import DEFAULT_CAP, SubgraphScanner, _link, walk
 from .laurent import LaurentPolynomial
 from .maps import (
     CombinatorialMap,
@@ -453,15 +454,15 @@ def verify_thistlethwaite(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Polyn
 
     The crossings are renumbered so that crossing x's smoothings are bit i,
     i being the Tait scanner's index of x's edge: a state's mask is then the
-    mask of its Tait subgraph H(S).  Two lazy
-    :func:`~surfpoly.invariants.walk` streams, both in increasing mask
-    order, each on its own union-find, are zipped: the curves' `_walk`,
-    giving (span id, curve count), and the Tait scanner's walk, giving
-    H(S)'s code.  The leaves are counted per (a(S), code, (span id, curve
-    count)), and each new key is checked once; P_G and K_D (by
-    `_kauffman_of`) are read off the counts, each distinct code decoded
-    once.  The first failing leaf is the least failing Tait subgraph mask,
-    and it is the witness."""
+    mask of its Tait subgraph H(S).  One Counter counts the leaves of three
+    lazy streams zipped in increasing mask order: a(S), the mask's bit
+    count; H(S)'s code, from the Tait scanner's
+    :func:`~surfpoly.invariants.walk`; and (span id, curve count), from the
+    curves' `_walk` on their own union-find.  Each distinct code is decoded
+    once and each distinct key (a(S), code, (span id, curve count)) checked
+    once; P_G and K_D (by `_kauffman_of`) are read off the same count.  Only
+    if some key fails do the walks run again, to the first leaf with a
+    failing key: the least failing Tait subgraph mask, the witness."""
     tait = tait_graph(diagram)
     spans, links, smoothings = _curve_links(diagram, cap)
     g_map = tait.map
@@ -475,37 +476,31 @@ def verify_thistlethwaite(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Polyn
     steps = [None] * e
     for x, smoothing in zip(diagram.crossings, smoothings):
         steps[sc.eidx[tait.crossing_edge[x]]] = smoothing
-    curve_walk = _walk(links, steps, spans)
-    tait_walk = walk(list(sc.base), sc.base_code, sc.steps, _link)
-    # a leaf's count per (a(S), code, (span, c(S))); a new key is checked once
-    counts: dict[tuple, int] = {}
-    decoded: dict[int, SubgraphInvariants] = {}
-    failed: int | None = None
-    for (mask, curves), code in zip(curve_walk, tait_walk):
-        a_count = mask.bit_count()
-        key = a_count, code, curves
-        if key in counts:
-            counts[key] += 1
-            continue
-        counts[key] = 1
-        if code not in decoded:
-            decoded[code] = sc.decode(code)
-        inv = decoded[code]
-        span, c_s = curves
-        r = spans.spaces[span].dim
-        if failed is None and not (
-            a_count == inv.e
-            and diagram.n_crossings - a_count == e - inv.e
-            and c_s == inv.bc
-            and c_s - r == inv.c + inv.k
-            and r == inv.l
-        ):
-            failed = mask
+
+    def leaves():
+        # (a(S), H(S)'s code, (span id, c(S))) of every state, in mask order
+        return zip(
+            map(int.bit_count, range(1 << e)),
+            walk(list(sc.base), sc.base_code, sc.steps, _link),
+            map(itemgetter(1), _walk(links, steps, spans)),
+        )
+
+    counts = Counter(leaves())
+    decoded = {code: sc.decode(code) for code in {key[1] for key in counts}}
     state_counts: Counter = Counter()
     tait_counts: Counter = Counter()
-    for (a_count, code, curves), cnt in counts.items():
+    bad = set()
+    for key, cnt in counts.items():
+        a_count, code, curves = key
+        inv = decoded[code]
         state_counts[a_count, curves] += cnt
-        tait_counts[decoded[code]] += cnt
+        tait_counts[inv] += cnt
+        span, c_s = curves
+        r = spans.spaces[span].dim
+        if not (a_count == inv.e and c_s == inv.bc and c_s - r == inv.c + inv.k and r == inv.l):
+            bad.add(key)
+    # only a failure walks again: its first failing leaf is the least failing Tait mask
+    failed = next(mask for mask, key in enumerate(leaves()) if key in bad) if bad else None
     k_poly = _kauffman_of(diagram.n_crossings, spans, state_counts)
     p = _p_of(tait_counts)
     mono = LaurentPolynomial.monomial

@@ -27,8 +27,7 @@ class PolynomialReport:
         return all(v.passed for v in self.verdicts)
 
     def lines(self) -> list[str]:
-        out = [v.line() for v in self.verdicts]
-        return out
+        return [v.line() for v in self.verdicts]
 
     def __post_init__(self):
         for v in self.verdicts:

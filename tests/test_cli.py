@@ -1,12 +1,27 @@
 import importlib
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
 from surfpoly.cli import main
-from surfpoly.maps import MAX_ISOLATED
+from surfpoly.errors import (
+    AlphaNotInvolution,
+    DanglingDart,
+    LinkFormatError,
+    MalformedPermutation,
+    MapFormatError,
+    NotCellulation,
+    NotFourValent,
+    NotSpanning,
+)
+from surfpoly.invariants import dual_subgraph
+from surfpoly.laurent import LaurentPolynomial
+from surfpoly.links import LinkDiagram, parse_diagram
+from surfpoly.maps import MAX_ISOLATED, CombinatorialMap, EmbeddedSubgraph
+from surfpoly.multivariate import EdgeWeighting
 
 
 def run_cli(capsys, *argv):
@@ -337,6 +352,120 @@ def test_malformed_link_files_exit_2(capsys, data_dir, tmp_path, cmd, name, old,
     code, out, err = run_cli(capsys, cmd, str(bad))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_SURFACE = "surface_sigma: (1 3 5)(2 6 4)\nsurface_alpha: (1 2)(3 4)(5 6)"
+
+
+_MALFORMED = [
+    # .map files: (name, old, new) edits a bundled file; name None writes `new` as is
+    ("poly", None, None, "sigma (1 3 2 4)\nalpha: (1 2)(3 4)", "expected 'key: value', got 'sigma (1 3 2 4)'"),
+    ("poly", "tb2.map", "isolated: 0", "isolated: 0\nsigma: (1 2)", "duplicate key 'sigma'"),
+    ("poly", "tb2.map", "isolated: 0", "isolated: 0\ngenus: 1", "unknown keys: ['genus']"),
+    ("poly", "tb2.map", "isolated: 0", "isolated: one", "isolated: expects an integer"),
+    ("poly", "tb2.map", "isolated: 0", "isolated: -1", "isolated vertex count must be nonnegative"),
+    ("poly", "tb2.map", "graph_edges: *", "graph_edges: x", "graph_edges: expects '*' or integer ids"),
+    ("poly", "tb2.map", "graph_edges: *", "graph_edges: 9", "graph_edges: unknown edge ids [9]"),
+    ("poly", "theta.map", "graph_vertices: *", "graph_vertices: 1", "edge 1 has an endpoint outside graph_vertices"),
+    # .vlk files
+    ("bracket", "trefoil.vlk", "(1 12 7 10)", "(1 12 7 x)", "bad crossing line 'crossing 1: darts (1 12 7 x) over (1 7)'"),
+    ("bracket", "trefoil.vlk", "(1 12 7 10)", "(1 12 7)", "crossing needs 4 darts, got [1, 12, 7]"),
+    ("bracket", "trefoil.vlk", "over (1 7)", "over (1 2)", "bad over pair in 'crossing 1: darts (1 12 7 10) over (1 2)'"),
+    ("bracket", "trefoil.vlk", "(2 5 4 11) over (5 11)", "(2 5 4 1) over (5 1)", "dart 1 appears in two crossings"),
+    ("bracket", "trefoil.vlk", "orient: 1", "orient: 1\nframing: 0", "unrecognized line 'framing: 0'"),
+    ("bracket", "trefoil.vlk", "alpha:", "# alpha:", "missing alpha: line"),
+    ("bracket", "trefoil.vlk", "(11 12)\n", "(11 13)\n", "alpha and crossing darts disagree"),
+    ("bracket", "trefoil.vlk", "12", "14", "dart ids must be exactly 1..4n with no gaps"),
+    ("bracket", None, None, "freeloop:\nsurface_sigma: (1 2)", "surface_sigma and surface_alpha go together"),
+    ("bracket", "trefoil.vlk", "orient: 1", "orient: x", "orient: expects dart ids"),
+    ("bracket", "trefoil.vlk", "over (1 7)", "over (1 1)", "over pair (1,) not at crossing 1"),
+    ("bracket", "trefoil.vlk", "over (1 7)", "over (1 12)", "over pair (1, 12) is not opposite in the rotation at 1"),
+    ("bracket", "trefoil.vlk", "orient: 1", f"orient: 1\n{_SURFACE}", "explicit surface is only allowed for crossingless diagrams"),
+    ("bracket", None, None, f"{_SURFACE}\nfreeloop: 9", "free loop dart 9 not on the surface"),
+    ("bracket", None, None, f"{_SURFACE}\nfreeloop: 1", "free loop walk is not closed"),
+    (
+        "bracket", "trefoil.vlk", "orient: 1", "orient: 1\nfreeloop: 1 2",
+        "free loop walks need a crossingless diagram; inside a disk face a loop is null-homotopic (use an empty walk)",
+    ),
+    ("bracket", "trefoil.vlk", "orient: 1", "orient: 99", "orientation dart 99 not in any strand"),
+    ("bracket", "trefoil.vlk", "orient: 1", "orient: 1 2", "two orientation darts on one strand"),
+    ("tait", None, None, "freeloop:", "Tait graph needs a diagram with crossings only"),
+    ("verify thistlethwaite", None, None, "freeloop:", "Tait graph needs a diagram with crossings only"),
+    # weights files, for tb2.map
+    ("pbar --weights", None, None, "edge x = w", "bad edge id in 'edge x = w'"),
+    ("pbar --weights", None, None, "edge 1 = w**2", "empty factor in monomial 'w**2'"),
+    ("pbar --weights", None, None, "edge 1 = w^x", "bad exponent in 'w^x'"),
+    ("pbar --weights", None, None, "edge 1 = 2w", "bad variable name '2w'"),
+]
+
+
+@pytest.mark.parametrize(
+    "cmd, name, old, new, message",
+    _MALFORMED,
+    ids=[" ".join(re.findall(r"[\w.]+", f"{case[0]} {case[-1]}")) for case in _MALFORMED],
+)
+def test_malformed_input_exits_2_with_one_error_line(capsys, data_dir, tmp_path, cmd, name, old, new, message):
+    # no traceback: the error is one line on stderr, and nothing is printed
+    text = new + "\n" if name is None else (data_dir / name).read_text().replace(old, new)
+    assert name is None or text != (data_dir / name).read_text()
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    if cmd == "pbar --weights":
+        argv = ["pbar", str(data_dir / "tb2.map"), "--weights", str(bad)]
+    else:
+        argv = [*cmd.split(), str(bad)]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# checks that no input file reaches, since the parsers refuse first:
+# build(tb2, trefoil) must raise the error with exactly this message
+_CONSTRUCTED = [
+    (DanglingDart, "sigma and alpha must act on the same dart set",
+     lambda m, d: CombinatorialMap({1: 2, 2: 1}, {1: 2, 2: 1, 3: 4, 4: 3})),
+    (MalformedPermutation, "sigma is not a bijection on the darts",
+     lambda m, d: CombinatorialMap({1: 1, 2: 1}, {1: 2, 2: 1})),
+    (AlphaNotInvolution, "alpha is not a fixed-point-free involution at dart 1",
+     lambda m, d: CombinatorialMap({1: 2, 2: 1}, {1: 1, 2: 2})),
+    (MapFormatError, "dart ids must be positive integers",
+     lambda m, d: CombinatorialMap({-1: 1, 1: -1}, {-1: 1, 1: -1})),
+    (MapFormatError, "graph_vertices contains unknown vertex ids",
+     lambda m, d: EmbeddedSubgraph(m, frozenset({99}), frozenset())),
+    (MapFormatError, "graph_edges contains unknown edge ids",
+     lambda m, d: EmbeddedSubgraph(m, frozenset(m.vertex_ids), frozenset({99}))),
+    (NotFourValent, "vertex 1 has 2 darts",
+     lambda m, d: LinkDiagram(CombinatorialMap({1: 2, 2: 1}, {1: 2, 2: 1}), {1: frozenset({1, 2})})),
+    (LinkFormatError, "over-strand data must cover exactly the crossings",
+     lambda m, d: LinkDiagram(d.base, {})),
+    (MapFormatError, "edge weight must be a monomial, got 1 + w",
+     lambda m, d: EdgeWeighting(m, {1: LaurentPolynomial.variable("w") + 1})),
+    (MapFormatError, "cannot interpret edge weight 2.5",
+     lambda m, d: EdgeWeighting(m, {1: 2.5})),
+    (NotCellulation, "dual subgraph needs the full cellulation as graph",
+     lambda m, d: dual_subgraph(EmbeddedSubgraph(m, frozenset(m.vertex_ids), frozenset({1})), [1])),
+    (NotSpanning, "unknown edges [99]",
+     lambda m, d: dual_subgraph(m, [1, 99])),
+]
+
+
+@pytest.mark.parametrize(
+    "error, message, build",
+    _CONSTRUCTED,
+    ids=[" ".join(re.findall(r"[\w.]+", case[1])) for case in _CONSTRUCTED],
+)
+def test_constructors_refuse_what_no_file_reaches(tb2, data_dir, error, message, build):
+    trefoil = parse_diagram((data_dir / "trefoil.vlk").read_text())
+    with pytest.raises(error) as info:
+        build(tb2, trefoil)
+    assert str(info.value) == message
+
+
+def test_verify_without_a_file_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "duality"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.splitlines()[-1] == "surfpoly: error: verify duality needs an input file"
+    assert "Traceback" not in out.err
 
 
 @pytest.mark.parametrize("argv", [["pbar"], ["verify", "mduality"]], ids=" ".join)

@@ -110,6 +110,57 @@ def test_canonical_strings():
     assert str(p) == str(q) and p == q
 
 
+def _reference_canonical_string(p):
+    """The canonical string before the one-pass rewrite: one sort on a key
+    lambda, then each term appended with ``+=``."""
+    if not p.terms:
+        return "0"
+    keyed = sorted(p.terms.items(), key=lambda item: (-sum(item[0]), item[0]), reverse=True)
+    pieces = []
+    for exps, c in keyed:
+        factors = []
+        for name, e in zip(p.variables, exps):
+            if e == 0:
+                continue
+            factors.append(name if e == 1 else f"{name}^{e}")
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        pieces.append((c < 0, body))
+    first_neg, first = pieces[0]
+    out = ("-" if first_neg else "") + first
+    for neg, body in pieces[1:]:
+        out += (" - " if neg else " + ") + body
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    st.lists(st.sampled_from("ABXYZd"), unique=True, max_size=4).flatmap(
+        lambda names: st.tuples(
+            st.just(tuple(names)),
+            st.dictionaries(
+                st.tuples(*(st.integers(-3, 3) for _ in names)),
+                st.sampled_from([1, -1, 1, -1, 2, -3, 12]),
+                max_size=12,
+            ),
+        )
+    )
+)
+def test_canonical_string_matches_reference(case):
+    # zero, constants, +-1 coefficients, negative leading terms and
+    # negative exponents all occur among the draws and the fixed cases
+    names, terms = case
+    p = L(names, terms)
+    assert str(p) == _reference_canonical_string(p)
+    for q in (L.zero(), L.constant(-5), L.constant(1), -p, p * v("A") ** -2 - 1):
+        assert str(q) == _reference_canonical_string(q)
+
+
 def test_rename_swap():
     X, Y, A, B = v("X"), v("Y"), v("A"), v("B")
     p = X + 2 * Y + A * B ** 2

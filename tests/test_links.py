@@ -676,12 +676,15 @@ def test_thistlethwaite_witness_is_the_least_failing_tait_mask(
         assert verdict.witness == f"subgraph mask {min(failing)} of {serialize_diagram(d)!r}"
 
 
-@pytest.mark.parametrize("field", ["l", "k"], ids=["r(S) = l(H)", "k(S) = c(H) + k(H)"])
+@pytest.mark.parametrize(
+    "field", ["l", "k", "e"], ids=["r(S) = l(H)", "k(S) = c(H) + k(H)", "a(S) = e(H)"]
+)
 @pytest.mark.parametrize("empty", [True, False], ids=["empty H", "all edges"])
 def test_thistlethwaite_fails_on_one_miscounted_tait_invariant(data_dir, monkeypatch, field, empty):
-    """A decoded Tait l, or k, one too large on one subgraph, the empty one or
-    the full one: only the per-state check on that field can catch it, and
-    the witness is that subgraph's mask."""
+    """A decoded Tait l, k or e one too large on one subgraph, the empty one
+    or the full one: only the per-state check on that field can catch it, and
+    the witness is that subgraph's mask.  For e that check is a(S) = e(H),
+    which holds by construction unless the decoded e-field is off."""
     from surfpoly.invariants import SubgraphScanner
 
     real = SubgraphScanner.decode

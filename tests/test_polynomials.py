@@ -34,6 +34,7 @@ from surfpoly.polynomials import (
     verify_duality,
     verify_specializations,
 )
+from surfpoly.report import PolynomialReport, Verdict
 
 
 def test_p_figure2_values(tb2, fig2):
@@ -584,3 +585,29 @@ def test_duality_on_a_24_edge_map():
     rep = verify_duality(m, cap=24)
     assert rep.all_passed, rep.lines()
     assert sum(p_bruteforce(m, cap=24).terms.values()) == 1 << 24
+
+
+def test_report_lines_are_the_verdict_lines(theta, data_dir):
+    """The bench digests read these strings: one line per verdict, a failed
+    one ending in two spaces and its witness."""
+    from surfpoly.links import parse_diagram, verify_thistlethwaite
+
+    assert verify_duality(theta).lines() == ["PASS duality P_G(X,Y,A,B) = P_G*(Y,X,B,A)"]
+    trefoil = parse_diagram((data_dir / "trefoil.vlk").read_text())
+    assert verify_thistlethwaite(trefoil).lines() == [
+        "PASS bracket K_D = A^(g+v-c) B^(n-g) d^c Z^g P_G(Bd/A, Ad/B, A/BZ, B/AZ)",
+        "PASS per-state correspondences a(S)=e(H), c(S)=bc(H), k(S)=c(H)+k(H), r(S)=l(H)",
+    ]
+    failed = Verdict("P = Q", False, "subgraph mask 3")
+    assert failed.line() == "FAIL P = Q  witness: subgraph mask 3"
+    rep = PolynomialReport("two checks", {"P": "1 + X"}, (Verdict("P = P", True), failed))
+    assert rep.lines() == ["PASS P = P", "FAIL P = Q  witness: subgraph mask 3"]
+    assert not rep.all_passed
+
+
+def test_failed_verdict_without_a_witness_is_refused():
+    with pytest.raises(ValueError, match="^failed verdict requires a witness$"):
+        PolynomialReport("one check", verdicts=(Verdict("P = P", True), Verdict("P = Q", False)))
+    assert PolynomialReport("one check", verdicts=(Verdict("P = Q", False, ""),)).lines() == [
+        "FAIL P = Q  witness: "
+    ]
