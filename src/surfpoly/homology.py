@@ -35,9 +35,9 @@ state sum over all 2^e subgraphs runs that union-find, on a list of its
 own, over the masks (`_walk`) on the engine's one walker,
 `surfpoly.invariants.walk`, and keeps each span as an id into a table of
 interned subspaces (`_Spans`), which grows a span by inserting one new class
-into its rows.  tilde-P reads its exponents off its walk's nullities and
-spans, and checks their counts against the frontier DP; subgroup duality
-walks H and H* at once, and their nullities and spans give its exponents.
+into its rows.  A walk tracks one subgraph: tilde-P counts its leaves against
+the frontier DP, and subgroup duality zips a walk of H with one of H*, checks
+each distinct key once, and walks again only to find the least failing mask.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ Vector = tuple[Fraction, ...]
 Class = tuple[int, ...]  # an integral H1 class
 Chain = dict[int, int]  # edge id -> integer coefficient
 Link = tuple[int, int, int]  # (tail, head, packed class) of an edge
-SideLink = tuple[int, int, int, int]  # (side, tail, head, packed class), see _walk
 
 
 # -- exact linear algebra ----------------------------------------------------
@@ -470,28 +469,24 @@ class _Spans:
 
 
 def _walk(
-    base: Iterable[SideLink], steps: Sequence[tuple[Sequence[SideLink], Sequence[SideLink]]],
-    spans: _Spans, sides: int = 1,
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(mask, state) for every mask over ``steps``, masks in increasing
+    base: Iterable[Link], steps: Sequence[tuple[Sequence[Link], Sequence[Link]]], spans: _Spans
+) -> Iterator[tuple[int, int]]:
+    """(span id, nullity) of every mask over ``steps``, masks in increasing
     order, from one :func:`~surfpoly.invariants.walk` of a potential
-    union-find: the spans and nullities that each mask's links close.
-
-    A link (side, tail, head, packed class) joins two nodes, as in
-    `_cycles`; a link that closes a cycle extends its side's span by the
-    cycle's class and adds one to the side's nullity.  The ``base`` links
-    are applied once; then step i applies its out links (bit i clear) or its
-    in links (bit i set).  The n nodes are renumbered densely, so the
+    union-find.  A link (tail, head, packed class) joins two nodes, as in
+    `_cycles`; a link that closes a cycle extends the span in ``spans`` by
+    the cycle's class and adds one to the nullity.  The ``base`` links are
+    applied once; then step i applies its out links (bit i clear) or its in
+    links (bit i set).  The n nodes are renumbered densely, so the
     union-find is one list of 2n entries: node x's parent at ``uf[x]`` and
-    the class of the path from that parent to x at ``uf[n + x]``.  state[2s]
-    is side s's span id in ``spans`` and state[2s + 1] its nullity.
+    the class of the path from that parent to x at ``uf[n + x]``.
     """
     index: dict[int, int] = {}
 
-    def dense(links: Iterable[SideLink]) -> list[SideLink]:
+    def dense(links: Iterable[Link]) -> list[Link]:
         return [
-            (side, index.setdefault(u, len(index)), index.setdefault(w, len(index)), cls)
-            for side, u, w, cls in links
+            (index.setdefault(u, len(index)), index.setdefault(w, len(index)), cls)
+            for u, w, cls in links
         ]
 
     base = dense(base)
@@ -499,8 +494,8 @@ def _walk(
     n = len(index)
     extend = spans.extend
 
-    def apply(uf: list[int], state: tuple[int, ...], links: list[SideLink]) -> tuple[int, ...]:
-        for side, u, w, cls in links:
+    def apply(uf: list[int], state: tuple[int, int], links: list[Link]) -> tuple[int, int]:
+        for u, w, cls in links:
             while uf[u] != u:
                 cls += uf[n + u]
                 u = uf[u]
@@ -511,12 +506,11 @@ def _walk(
                 uf[w] = u
                 uf[n + w] = cls
             else:
-                s = 2 * side
-                state = (*state[:s], extend(state[s], cls), state[s + 1] + 1, *state[s + 2:])
+                state = (extend(state[0], cls), state[1] + 1)
         return state
 
     uf = [*range(n), *[0] * n]
-    return enumerate(walk(uf, apply(uf, (0, 0) * sides, base), steps, apply))
+    return walk(uf, apply(uf, (0, 0), base), steps, apply)
 
 
 def fundamental_cycles(
@@ -560,20 +554,21 @@ def tilde_p(
     graph: EmbeddedSubgraph, cap: int = DEFAULT_CAP
 ) -> list[tuple[Subspace, LaurentPolynomial]]:
     """The subgroup-coefficient refinement: sum over spanning H of
-    [V(H)] * X^{c(H)-c(G)} * Y^{k(H)}, merged by equal subspace, from one
-    `_walk`'s span V(H) and nullity n(H): with v marked plus isolated vertices,
-    c(H) - c(G) = v - c(G) - |H| + n(H) and k(H) = n(H) - dim V(H).  Their
-    counts must equal the frontier DP's.  Specializing each [V] to
+    [V(H)] * X^{c(H)-c(G)} * Y^{k(H)}, merged by equal subspace, from a count
+    of |H| zipped with a `_walk`'s V(H) and n(H): with v marked plus isolated
+    vertices, c(H) - c(G) = v - c(G) - |H| + n(H), k(H) = n(H) - dim V(H).
+    Their counts must equal the frontier DP's.  Specializing each [V] to
     A^{s/2} B^{s_perp/2} recovers the four-variable surface polynomial."""
     check_cap(len(graph.sorted_edges), cap)
     hom = SurfaceHomology(graph.host)
-    steps = [((), ((0, *link),)) for link in _links(graph.host, hom.packed, graph.sorted_edges)]
+    steps = [((), (link,)) for link in _links(graph.host, hom.packed, graph.sorted_edges)]
     c_g = graph.components_count()
     shift = len(graph.g_vertices) + graph.host.isolated_vertices - c_g
     spans = _Spans(hom.dim)
     grouped: defaultdict[int, Counter] = defaultdict(Counter)
-    for mask, (v, nullity) in _walk((), steps, spans):
-        grouped[v][shift - mask.bit_count() + nullity, nullity - spans.spaces[v].dim] += 1
+    leaves = zip(map(int.bit_count, range(1 << len(steps))), _walk((), steps, spans))
+    for (h, (v, nullity)), cnt in Counter(leaves).items():
+        grouped[v][shift - h + nullity, nullity - spans.spaces[v].dim] += cnt
     counts = sum(grouped.values(), Counter())
     for inv, cnt in histogram(graph, None).items():
         counts[inv.c - c_g, inv.k] -= cnt
@@ -653,46 +648,52 @@ def _radial_links(
 
 def _subgroup_walk(
     primal: Sequence[Link], dual: Sequence[Link], spans: _Spans
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """`_walk` over H and H* at once: bit i in adds primal edge i to H (side
-    1), bit i out adds dual edge i to H* (side 0).  Dual nodes are
-    complemented (~x < 0), so they never meet the primal ones."""
-    steps = [
-        (((0, ~u, ~w, y),), ((1, *link),))
-        for link, (u, w, y) in zip(primal, dual)
-    ]
-    return _walk((), steps, spans, sides=2)
+) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """((V(H) id, n(H)), (V(H*) id, n(H*))) of every mask, in increasing
+    mask order: a `_walk` of H, where bit i in adds primal edge i, zipped
+    with a `_walk` of H*, where bit i out adds dual edge i."""
+    return zip(
+        _walk((), [((), (link,)) for link in primal], spans),
+        _walk((), [((link,), ()) for link in dual], spans),
+    )
 
 
 def verify_subgroup_duality(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> PolynomialReport:
     """Check V(H*) = V(H)^perp (as canonical RREF matrices in the radial
     map's H1 coordinates) and the component/kernel exponent swaps, for every
     spanning subgraph H of the cellulation m, where H* holds the duals of the
-    edges not in H.  The joint walk gives each side's span V and nullity n;
-    with e edges, |H| = mask.bit_count(), n(G) = e - v + c, n(G*) = e - f + c:
+    edges not in H.  The walks give each side's span V and nullity n; with
+    e edges, |H| = mask.bit_count(), n(G) = e - v + c, n(G*) = e - f + c:
     k(H) = n(H) - dim V(H), c(H) - c(G) = (e - |H|) - n(G) + n(H),
-    k(H*) = n(H*) - dim V(H*), c(H*) - c(G*) = |H| - n(G*) + n(H*)."""
+    k(H*) = n(H*) - dim V(H*), c(H*) - c(G*) = |H| - n(G*) + n(H*).  Each
+    distinct key (|H|, both sides' (span id, nullity)) is checked once; only
+    a failure walks again, to the least failing mask, the witness."""
     check_cap(m.n_edges, cap)
     hom, primal, dual = _radial_links(m, m.dual())
     e, c = m.n_edges, m.n_components
     n_g, n_gs = e - m.n_vertices + c, e - m.n_faces + c
     spans = _Spans(hom.dim)
+
+    def leaves():
+        return zip(map(int.bit_count, range(1 << e)), _subgroup_walk(primal, dual, spans))
+
     # V(H) id -> (V(H)^perp id, -1 if the dims do not sum to dim H1; both dims)
     perps: dict[int, tuple[int, int, int]] = {}
-    witness = None
-    for mask, (v_hs, n_hs, v_h, n_h) in _subgroup_walk(primal, dual, spans):
+    bad = set()
+    for key in set(leaves()):
+        h, ((v_h, n_h), (v_hs, n_hs)) = key
         if v_h not in perps:
             v = spans.spaces[v_h]
             w = orthogonal_complement(v, hom.form)
             perps[v_h] = (spans.add(w) if v.dim + w.dim == hom.dim else -1, v.dim, w.dim)
         perp, dim_h, dim_hs = perps[v_h]
-        h = mask.bit_count()
         if (
             v_hs != perp
             or h - n_gs + n_hs != n_h - dim_h
             or e - h - n_g + n_h != n_hs - dim_hs
         ):
-            witness = f"map={m!r} mask={mask}"
-            break
+            bad.add(key)
+    failed = next(mask for mask, key in enumerate(leaves()) if key in bad) if bad else None
+    witness = None if failed is None else f"map={m!r} mask={failed}"
     verdict = Verdict("subgroup duality V(H*) = V(H)^perp", witness is None, witness)
     return PolynomialReport(description=f"subgroup duality on {m!r}", verdicts=(verdict,))

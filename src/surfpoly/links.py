@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -267,37 +266,36 @@ def _curve_links(diagram: LinkDiagram, cap: int | None) -> tuple[_Spans, list, l
     surf = diagram.surface_map
     hom = SurfaceHomology(surf)
     links = [
-        (0, ~i, ~i, hom.chain_class(surf.chain(walk)))
+        (~i, ~i, hom.chain_class(surf.chain(walk)))
         for i, walk in enumerate(diagram.free_loops)
     ]
-    links += [(0, e, base.alpha[e], hom.packed[e]) for e in base.edge_ids]
+    links += [(e, base.alpha[e], hom.packed[e]) for e in base.edge_ids]
     steps = [
-        tuple([(0, x, y, 0) for x, y in pairs] for pairs in smoothing)
+        tuple([(x, y, 0) for x, y in pairs] for pairs in smoothing)
         for smoothing in _smoothings(diagram)
     ]
     return _Spans(hom.dim), links, steps
 
 
-def _state_walk(diagram: LinkDiagram, cap: int | None) -> tuple[_Spans, Iterator]:
-    """The span table, and (mask, (span id, c(S))) of every state, lazily,
-    from one `_walk` of `_curve_links`: each curve closes one cycle."""
-    spans, links, steps = _curve_links(diagram, cap)
-    return spans, _walk(links, steps, spans)
-
-
 def states(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[ResolutionState]:
     """All 2^n resolutions with curve counts and homology ranks, lazily, in
-    increasing order of the mask whose bit i is the choice at crossing i.
-    The cap is checked at the call."""
-    spans, walked = _state_walk(diagram, cap)
-    return (ResolutionState(mask, c, spans.spaces[v], diagram) for mask, (v, c) in walked)
+    increasing order of the mask whose bit i is the choice at crossing i:
+    each state reads its (span id, c(S)) off one `_walk` of `_curve_links`,
+    in which each curve closes one cycle.  The cap is checked at the call."""
+    spans, links, steps = _curve_links(diagram, cap)
+    return (
+        ResolutionState(mask, c, spans.spaces[v], diagram)
+        for mask, (v, c) in enumerate(_walk(links, steps, spans))
+    )
 
 
 def _state_counts(diagram: LinkDiagram, cap: int | None) -> tuple[_Spans, Counter]:
     """The span table, and how many states reach each (a(S), (span id,
-    c(S))), a(S) being the number of type-(1) smoothings."""
-    spans, walked = _state_walk(diagram, cap)
-    return spans, Counter((mask.bit_count(), acc) for mask, acc in walked)
+    c(S))), a(S) being the number of type-(1) smoothings: one count of the
+    mask bit counts zipped with one `_walk` of `_curve_links`."""
+    spans, links, steps = _curve_links(diagram, cap)
+    leaves = zip(map(int.bit_count, range(1 << len(steps))), _walk(links, steps, spans))
+    return spans, Counter(leaves)
 
 
 def _kauffman_of(n: int, spans: _Spans, counts: dict) -> LaurentPolynomial:
@@ -482,7 +480,7 @@ def verify_thistlethwaite(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> Polyn
         return zip(
             map(int.bit_count, range(1 << e)),
             walk(list(sc.base), sc.base_code, sc.steps, _link),
-            map(itemgetter(1), _walk(links, steps, spans)),
+            _walk(links, steps, spans),
         )
 
     counts = Counter(leaves())
@@ -648,10 +646,7 @@ def parse_diagram(text: str) -> LinkDiagram:
         surface = CombinatorialMap(_perm_from_cycles(s_cycles, "surface_sigma"), s_alpha)
     over: dict[int, frozenset[int]] = {}
     for o1, o2 in over_pairs.values():
-        v = base.vertex_of.get(o1)
-        if v is None:
-            raise LinkFormatError(f"over dart {o1} unknown")
-        over[v] = frozenset((o1, o2))
+        over[base.vertex_of[o1]] = frozenset((o1, o2))
     return LinkDiagram(
         base=base,
         over=over,

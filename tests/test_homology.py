@@ -518,8 +518,7 @@ def test_class_walk_matches_per_mask_cycle_spans(maps_up_to_4):
         spans = _Spans(hom.dim)
         masks = 0
         walk = _subgroup_walk(primal, dual, spans)
-        for expected, (mask, (v_hs, n_hs, v_h, n_h)) in enumerate(walk):
-            assert mask == expected
+        for mask, ((v_h, n_h), (v_hs, n_hs)) in enumerate(walk):
             h = [link for i, link in enumerate(primal) if mask >> i & 1]
             hs = [link for i, link in enumerate(dual) if not mask >> i & 1]
             assert (spans.spaces[v_h], n_h) == _cycle_span(h, hom.dim)
@@ -580,19 +579,26 @@ def test_subgroup_duality_builds_no_scanner(tb2, octagon, monkeypatch):
         assert verify_subgroup_duality(m).all_passed
 
 
-@pytest.mark.parametrize("pick", [0, 1, -1], ids=["empty H", "first edge", "all edges"])
-def test_subgroup_duality_fails_on_a_miscounted_dual_nullity(tb2, octagon, monkeypatch, pick):
-    """n(H*) one too large at one mask: the spans still agree there, so
-    only the exponent swaps can catch it."""
+@pytest.mark.parametrize(
+    "pick, side",
+    [(0, 1), (1, 1), (-1, 1), (0, 0), (1, 0), (-1, 0)],
+    ids=["empty H", "first edge", "all edges", "n(H) empty H", "n(H) first edge", "n(H) all edges"],
+)
+def test_subgroup_duality_fails_on_a_miscounted_dual_nullity(tb2, octagon, monkeypatch, pick, side):
+    """n(H), or n(H*), one too large at one mask: the spans still agree
+    there, so only the exponent swaps can catch it.  Each side is its own
+    walk, so a miscount on either side must fail at the chosen mask."""
     real = homology_module._subgroup_walk
     chosen = {}
 
     def miscount(primal, dual, spans):
-        for mask, (v_hs, n_hs, v_h, n_h) in real(primal, dual, spans):
+        for mask, pair in enumerate(real(primal, dual, spans)):
             if mask == chosen["mask"]:
+                (v_h, _), (v_hs, _) = pair
                 chosen["spans"] = spans.spaces[v_h], spans.spaces[v_hs]
-                n_hs += 1
-            yield mask, (v_hs, n_hs, v_h, n_h)
+                v, n = pair[side]
+                pair = (*pair[:side], (v, n + 1), *pair[side + 1:])
+            yield pair
 
     monkeypatch.setattr(homology_module, "_subgroup_walk", miscount)
     for m in (tb2, octagon, *random_maps_of_genus(2, 2, 7, seed=309, min_edges=6)):
@@ -664,8 +670,8 @@ def test_tilde_p_catches_a_miscounted_walk_nullity(tb2, octagon, monkeypatch, pi
     chosen = {}
 
     def miscount(*args, **kwargs):
-        for mask, (v, nullity) in real(*args, **kwargs):
-            yield mask, (v, nullity + (mask == chosen["mask"]))
+        for mask, (v, nullity) in enumerate(real(*args, **kwargs)):
+            yield v, nullity + (mask == chosen["mask"])
 
     monkeypatch.setattr(homology_module, "_walk", miscount)
     for g in _tilde_p_inputs(tb2, octagon):
