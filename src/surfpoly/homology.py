@@ -37,7 +37,8 @@ own, over the masks (`_walk`) on the engine's one walker,
 interned subspaces (`_Spans`), which grows a span by inserting one new class
 into its rows.  A walk tracks one subgraph: tilde-P counts its leaves against
 the frontier DP, and subgroup duality zips a walk of H with one of H*, checks
-each distinct key once, and walks again only to find the least failing mask.
+each distinct key once, and walks again only to find the least failing mask
+(`first_failing`).  The links' state walk is the Thistlethwaite DP's oracle.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, InternalInvariantError, RadicalNotBoundaries
-from .invariants import DEFAULT_CAP, check_cap, histogram, walk
+from .invariants import DEFAULT_CAP, check_cap, first_failing, histogram, walk
 from .laurent import LaurentPolynomial
 from .maps import CombinatorialMap, EmbeddedSubgraph, UnionFind
 from .report import PolynomialReport, Verdict
@@ -693,7 +694,7 @@ def verify_subgroup_duality(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> Poly
             or e - h - n_g + n_h != n_hs - dim_hs
         ):
             bad.add(key)
-    failed = next(mask for mask, key in enumerate(leaves()) if key in bad) if bad else None
+    failed = first_failing(leaves, bad)
     witness = None if failed is None else f"map={m!r} mask={failed}"
     verdict = Verdict("subgroup duality V(H*) = V(H)^perp", witness is None, witness)
     return PolynomialReport(description=f"subgroup duality on {m!r}", verdicts=(verdict,))

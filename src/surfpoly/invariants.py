@@ -221,6 +221,12 @@ def walk(uf: list, acc: Any, steps: Sequence, apply: Callable) -> Iterator[Any]:
         yield acc
 
 
+def first_failing(leaves: Callable[[], Iterable], bad: set) -> int | None:
+    """The least mask whose leaf in ``leaves()`` is in ``bad``, None if
+    ``bad`` is empty: only a failure walks again, to its first failing leaf."""
+    return next(mask for mask, key in enumerate(leaves()) if key in bad) if bad else None
+
+
 def frontier_counts(base_code: int, steps: Sequence[tuple[Step, Step]]) -> dict[int, int]:
     """How many masks over ``steps`` reach each code from ``base_code``, the
     Counter of a :func:`walk`, built one step at a time without visiting a

@@ -16,6 +16,9 @@ Thistlethwaite-type identity to hold).
 
 The brackets read one count of the states per (a(S), span, c(S)) off the
 walk that `states()` streams, a key standing for A^a B^(n-a) d^(c-r) Z^r.
+The Thistlethwaite check counts the states by one frontier DP instead, on
+the Tait scanner's union-find joined to one of the curves and the regions,
+where k(S) is a region count; the homology walk is its oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import (
 )
 from .homology import Subspace, SurfaceHomology, radial_map
 from .homology import _cycle_span, _links, _Spans, _walk
-from .invariants import DEFAULT_CAP, SubgraphScanner, _link, walk
+from .invariants import DEFAULT_CAP, SubgraphScanner, _lift, _link, first_failing, frontier_counts, walk
 from .laurent import LaurentPolynomial
 from .maps import (
     CombinatorialMap,
@@ -445,61 +448,80 @@ def tait_cycle_classes(
 
 # -- the Thistlethwaite-type identity ---------------------------------------------
 
+def _joint_steps(diagram: LinkDiagram, tait: TaitGraph, sc: SubgraphScanner) -> tuple:
+    """The Tait scanner's union-find joined to the states' (its base, base
+    code and steps) and ``split`` of a code into (Tait code, a, c, k).
+
+    Nodes: the scanner's, one per dart of ``base`` (an edge links its two
+    darts) and one per face.  Crossing x sits at its Tait edge's index.
+    With over darts o1 < o2, s1 = sigma o1 and s2 = sigma o2, the out step
+    gains links (o1, s2), (o2, s1) and face(s1)-face(s2); the in step gains
+    (o1, s1), (o2, s2), face(o2)-face(o1) and 1 in a(S).  Above the Tait
+    code: a(S), the curve merges (c(S) = darts - merges) and the region
+    merges (k(S) = faces - merges - components of ``base``)."""
+    base = diagram.base
+    dart = {d: len(sc.base) + i for i, d in enumerate(base.darts)}
+    face = {f: len(sc.base) + len(dart) + i for i, f in enumerate(base.face_ids)}
+    region = {d: face[base.face_of[d]] for d in base.darts}
+    s_a = sc.shifts[3] + sc.masks[3].bit_length()
+    s_curve = s_a + len(sc.edges).bit_length()
+    s_region = s_curve + len(dart).bit_length()
+    w_curve = 1 << s_curve
+    parent = [*sc.base, *range(len(sc.base), len(sc.base) + len(dart) + len(face))]
+    code = _link(parent, sc.base_code, (0, [(dart[d], dart[base.alpha[d]], w_curve) for d in base.edge_ids]))
+    steps: list = [None] * len(sc.edges)
+    for x, (outs, ins) in zip(diagram.crossings, _smoothings(diagram)):
+        (o1, s2), (o2, s1) = outs
+        i = sc.eidx[tait.crossing_edge[x]]
+        steps[i] = tuple(
+            _lift(parent, plus + (bit << s_a), [
+                *links, *((dart[p], dart[q], w_curve) for p, q in pairs),
+                (region[y], region[z], 1 << s_region),
+            ])
+            for bit, (plus, links), pairs, (y, z) in zip((0, 1), sc.steps[i], (outs, ins), ((s1, s2), (o2, o1)))
+        )
+    m_tait, m_a, m_curve = (1 << s_a) - 1, (1 << s_curve - s_a) - 1, (1 << s_region - s_curve) - 1
+    k_base = len(face) - base.n_components
+
+    def split(key: int) -> tuple[int, int, int, int]:
+        c = len(dart) - (key >> s_curve & m_curve)
+        return key & m_tait, key >> s_a & m_a, c, k_base - (key >> s_region)
+
+    return parent, code, steps, split
+
+
 def verify_thistlethwaite(diagram: LinkDiagram, cap: int = DEFAULT_CAP) -> PolynomialReport:
     """K_D(A,B,d,Z) = A^(g+v-c) B^(n-g) d^c Z^g P_G(Bd/A, Ad/B, A/(BZ), B/(AZ))
     for the Tait graph G, plus the per-state proof correspondences
     alpha(S(H)) = e(H), c(S) = bc(H), k(S) = c(H)+k(H), r(S) = l(H).
 
-    The crossings are renumbered so that crossing x's smoothings are bit i,
-    i being the Tait scanner's index of x's edge: a state's mask is then the
-    mask of its Tait subgraph H(S).  One Counter counts the leaves of three
-    lazy streams zipped in increasing mask order: a(S), the mask's bit
-    count; H(S)'s code, from the Tait scanner's
-    :func:`~surfpoly.invariants.walk`; and (span id, curve count), from the
-    curves' `_walk` on their own union-find.  Each distinct code is decoded
-    once and each distinct key (a(S), code, (span id, curve count)) checked
-    once; P_G and K_D (by `_kauffman_of`) are read off the same count.  Only
-    if some key fails do the walks run again, to the first leaf with a
-    failing key: the least failing Tait subgraph mask, the witness."""
+    One :func:`~surfpoly.invariants.frontier_counts` over `_joint_steps`
+    counts the states per joint code, whose (Tait code, a, c, k) give r(S) =
+    c(S) - k(S); each distinct Tait code is decoded once and each distinct
+    joint code checked once.  P_G and K_D (key A^a B^(n-a) d^k Z^r) are read
+    off that count.  Only a failure walks the joint steps, up to the first
+    leaf with a failing code: the least failing Tait subgraph mask."""
     tait = tait_graph(diagram)
-    spans, links, smoothings = _curve_links(diagram, cap)
-    g_map = tait.map
-    g = diagram.genus
-    v = g_map.n_vertices
-    c = g_map.n_components
-    e = g_map.n_edges
+    _check_crossings(diagram, cap)
+    g_map, g = tait.map, diagram.genus
+    v, c, e = g_map.n_vertices, g_map.n_components, g_map.n_edges
     n = e - v + c
     sc = SubgraphScanner(tait.graph)
-    # crossing x's smoothings at its Tait edge's index: bit i is Tait edge i
-    steps = [None] * e
-    for x, smoothing in zip(diagram.crossings, smoothings):
-        steps[sc.eidx[tait.crossing_edge[x]]] = smoothing
-
-    def leaves():
-        # (a(S), H(S)'s code, (span id, c(S))) of every state, in mask order
-        return zip(
-            map(int.bit_count, range(1 << e)),
-            walk(list(sc.base), sc.base_code, sc.steps, _link),
-            _walk(links, steps, spans),
-        )
-
-    counts = Counter(leaves())
-    decoded = {code: sc.decode(code) for code in {key[1] for key in counts}}
-    state_counts: Counter = Counter()
+    parent, code, steps, split = _joint_steps(diagram, tait, sc)
+    counts = frontier_counts(code, steps)
+    decoded = {t: sc.decode(t) for t in {split(key)[0] for key in counts}}
+    state_terms: Counter = Counter()
     tait_counts: Counter = Counter()
     bad = set()
     for key, cnt in counts.items():
-        a_count, code, curves = key
-        inv = decoded[code]
-        state_counts[a_count, curves] += cnt
+        t, a_count, c_s, k_s = split(key)
+        inv = decoded[t]
+        state_terms[a_count, e - a_count, k_s, c_s - k_s] += cnt
         tait_counts[inv] += cnt
-        span, c_s = curves
-        r = spans.spaces[span].dim
-        if not (a_count == inv.e and c_s == inv.bc and c_s - r == inv.c + inv.k and r == inv.l):
+        if not (a_count == inv.e and c_s == inv.bc and k_s == inv.c + inv.k and c_s - k_s == inv.l):
             bad.add(key)
-    # only a failure walks again: its first failing leaf is the least failing Tait mask
-    failed = next(mask for mask, key in enumerate(leaves()) if key in bad) if bad else None
-    k_poly = _kauffman_of(diagram.n_crossings, spans, state_counts)
+    failed = first_failing(lambda: walk(list(parent), code, steps, _link), bad)
+    k_poly = LaurentPolynomial(("A", "B", "d", "Z"), state_terms)
     p = _p_of(tait_counts)
     mono = LaurentPolynomial.monomial
     bound = p.substitute(

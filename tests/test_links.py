@@ -35,7 +35,7 @@ from surfpoly.links import (
     tilde_kauffman,
     verify_thistlethwaite,
 )
-from surfpoly.corpus import alternating_diagrams
+from surfpoly.corpus import alternating_diagrams, random_maps
 from surfpoly.maps import CombinatorialMap, canonical_code, parse_map_file, random_map
 from surfpoly.polynomials import p_bruteforce
 from test_polynomials import off_by_one
@@ -580,30 +580,39 @@ def test_thistlethwaite_random_surfaces():
 
 
 def test_thistlethwaite_sweeps_states_once(data_dir, monkeypatch):
-    """Two walks over the 2^n masks, zipped: the curves' walk and the Tait
-    scanner's, each once; neither `states()` nor `scan()` runs."""
+    """One frontier DP over the joint Tait, curve and region union-find
+    counts the states; a pass walks no mask, and a failure walks once, up
+    to its witness's leaf.  Neither `states()`, `scan()` nor the curves'
+    homology walk runs."""
     engine = importlib.import_module("surfpoly.invariants")
     import surfpoly.homology as homology_module
     import surfpoly.links as links_module
 
-    walks = []
-    real = engine.walk
+    walks, dps = [], []
+    real_walk, real_dp = engine.walk, engine.frontier_counts
 
     def counted(*args):
-        i = len(walks)  # the walks interleave, so each counts its own leaves
+        i = len(walks)
         walks.append(0)
-        for acc in real(*args):
+        for acc in real_walk(*args):
             walks[i] += 1
             yield acc
+
+    def counted_dp(*args):
+        dps.append(1)
+        return real_dp(*args)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the Thistlethwaite check swept states or Tait subgraphs again")
 
     for module in (engine, homology_module, links_module):
         monkeypatch.setattr(module, "walk", counted)
+    for module in (engine, links_module):
+        monkeypatch.setattr(module, "frontier_counts", counted_dp)
     for module, name in [
         (links_module, "states"),
         (links_module, "ResolutionState"),
+        (links_module, "_walk"),
         (engine, "scan"),
         (engine.SubgraphScanner, "codes"),
         (engine.SubgraphScanner, "code_counts"),
@@ -612,10 +621,27 @@ def test_thistlethwaite_sweeps_states_once(data_dir, monkeypatch):
     genus2 = next(
         m for m in (random_map(n, random.Random(n)) for n in range(4, 40)) if m.total_genus == 2
     )
-    for d in (parse_diagram((data_dir / "trefoil.vlk").read_text()), medial_diagram(genus2)):
+    diagrams = (parse_diagram((data_dir / "trefoil.vlk").read_text()), medial_diagram(genus2))
+    for d in diagrams:
         walks.clear()
+        dps.clear()
         assert verify_thistlethwaite(d).all_passed
-        assert walks == [1 << d.n_crossings] * 2
+        assert (walks, dps) == ([], [1])
+    # l(H) one too high on every two-edge Tait subgraph: mask 0b11 fails first
+    real_decode = engine.SubgraphScanner.decode
+    monkeypatch.setattr(
+        engine.SubgraphScanner,
+        "decode",
+        lambda self, code: (lambda inv: inv._replace(l=inv.l + 1) if inv.e == 2 else inv)(
+            real_decode(self, code)
+        ),
+    )
+    for d in diagrams:
+        walks.clear()
+        dps.clear()
+        verdict = verify_thistlethwaite(d).verdicts[1]
+        assert verdict.witness == f"subgraph mask 3 of {serialize_diagram(d)!r}"
+        assert (walks, dps) == ([4], [1])
 
 
 def test_thistlethwaite_reads_p_off_the_tait_sweep(data_dir, monkeypatch):
@@ -677,14 +703,16 @@ def test_thistlethwaite_witness_is_the_least_failing_tait_mask(
 
 
 @pytest.mark.parametrize(
-    "field", ["l", "k", "e"], ids=["r(S) = l(H)", "k(S) = c(H) + k(H)", "a(S) = e(H)"]
+    "field",
+    ["l", "k", "e", "bc"],
+    ids=["r(S) = l(H)", "k(S) = c(H) + k(H)", "a(S) = e(H)", "c(S) = bc(H)"],
 )
 @pytest.mark.parametrize("empty", [True, False], ids=["empty H", "all edges"])
 def test_thistlethwaite_fails_on_one_miscounted_tait_invariant(data_dir, monkeypatch, field, empty):
-    """A decoded Tait l, k or e one too large on one subgraph, the empty one
-    or the full one: only the per-state check on that field can catch it, and
-    the witness is that subgraph's mask.  For e that check is a(S) = e(H),
-    which holds by construction unless the decoded e-field is off."""
+    """A decoded Tait l, k, e or bc one too large on one subgraph, the empty
+    one or the full one: only the per-state check on that field can catch
+    it, and the witness is that subgraph's mask.  For e that check is
+    a(S) = e(H), where a(S) is a field of its own in the joint code."""
     from surfpoly.invariants import SubgraphScanner
 
     real = SubgraphScanner.decode
@@ -729,3 +757,31 @@ def test_thistlethwaite_fails_on_one_miscounted_p_coefficient(data_dir, monkeypa
         assert not bracket.passed and bracket.witness == f"diagram: {serialize_diagram(d)!r}"
         assert per_state.passed
         assert rep.polynomials == {"K_D": kauffman(d).to_canonical_string()}
+
+
+def test_joint_walk_matches_the_homology_states(data_dir):
+    """State by state, the joint union-find's (a, c, k, r) equal those of
+    `states()`, whose r is the dimension of the curves' span in H1: the
+    region count stays checked against the homology route.  Crossing bit x
+    is Tait bit sc.eidx[tait.crossing_edge[x]], and the frontier DP counts
+    exactly the joint walk's codes."""
+    from surfpoly.invariants import SubgraphScanner, _link, frontier_counts, walk
+    from surfpoly.links import _joint_steps
+
+    bundled = [parse_diagram(path.read_text()) for path in sorted(data_dir.glob("*.vlk"))]
+    diagrams = [d for d in bundled if d.is_alternating()]
+    assert len(diagrams) == 2  # the virtual trefoil has no Tait graph
+    for genus in (1, 2, 3):
+        diagrams += alternating_diagrams(4, genus, 10, seed=genus, min_crossings=4)
+    diagrams += [medial_diagram(m) for m in random_maps(12, 8, 3) if m.n_edges]
+    for d in diagrams:
+        tait = tait_graph(d)
+        sc = SubgraphScanner(tait.graph)
+        parent, code, steps, split = _joint_steps(d, tait, sc)
+        codes = list(walk(list(parent), code, steps, _link))
+        assert frontier_counts(code, steps) == Counter(codes)
+        bits = [sc.eidx[tait.crossing_edge[x]] for x in d.crossings]
+        for st in states(d):
+            mask = sum(1 << bit for i, bit in enumerate(bits) if st.mask >> i & 1)
+            _, a, c, k = split(codes[mask])
+            assert (a, c, k, c - k) == (st.alpha_count, st.c, st.k, st.r)
